@@ -1,10 +1,11 @@
 """Command-line entry point: run, sweep, and verify pipelines.
 
 Configuration is flat ``key = value`` text with bracketed section headers
-([scenario], [params], [run], [sweep]); keys mirror the corresponding field
-names and unknown keys are hard errors so a misspelled physics constant can
-never silently fall back to a default.  All output files are written to a
-temporary name and renamed on completion.
+([scenario], [params], [run], [sweep]); the keys of a section are the field
+names of its dataclass (``lambda`` spells ``lam``), each value is converted by
+its field's type, and unknown keys are hard errors so a misspelled physics
+constant can never silently fall back to a default.  All output files are
+written to a temporary name and renamed on completion.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,19 +38,6 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_VERIFY = 4
 
-_PARAM_KEYS = {
-    "R": "R", "Cv": "Cv", "a": "a", "mu": "mu", "kappa1": "kappa1",
-    "kappa2": "kappa2", "b": "b", "d": "d", "lambda": "lam",
-    "K_react": "K_react", "A": "A", "beta": "beta",
-}
-_SCENARIO_KEYS = (
-    "family", "amplitude_v", "amplitude_u", "amplitude_theta", "amplitude_z",
-    "width", "L", "N", "T_end", "cfl", "picard_tol", "picard_max_iters",
-    "floor_v", "floor_theta",
-)
-_RUN_KEYS = ("output_dir", "sample_cadence", "probes", "emit_snapshots", "snapshot_times")
-_SWEEP_KEYS = ("b_values", "beta_values", "max_parallel")
-
 
 @dataclass
 class RunConfig:
@@ -58,32 +46,16 @@ class RunConfig:
     scenario: ScenarioSpec
     output_dir: str = "out"
     sample_cadence: float = 0.1
-    probes: list = field(default_factory=lambda: [2])
+    probes: list[int] = field(default_factory=lambda: [2])
     emit_snapshots: bool = False
-    snapshot_times: list = field(default_factory=list)
+    snapshot_times: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.sample_cadence <= 0:
+        if not self.sample_cadence > 0:
             raise ConfigError("sample_cadence must be > 0")
         for k in self.probes:
             if k < 0:
                 raise ConfigError("probe window indices must be >= 0")
-
-
-@dataclass
-class SweepConfig:
-    """Grid of conductivity/rate exponents layered over a base run."""
-
-    base: RunConfig
-    b_values: list
-    beta_values: list
-    max_parallel: int = 1
-
-    def __post_init__(self):
-        if not self.b_values or not self.beta_values:
-            raise ConfigError("sweep value lists must be nonempty")
-        if self.max_parallel < 1:
-            raise ConfigError("max_parallel must be >= 1")
 
 
 def _parse_bool(text):
@@ -98,83 +70,6 @@ def _parse_bool(text):
 def _parse_list(text, conv):
     items = [s.strip() for s in text.split(",") if s.strip()]
     return [conv(s) for s in items]
-
-
-def _read_ini(path):
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path!r}: {exc}") from exc
-    return parser
-
-
-def _check_keys(parser, section, allowed):
-    if not parser.has_section(section):
-        return
-    unknown = set(parser.options(section)) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
-
-
-def _build_params(parser) -> GasParameters:
-    _check_keys(parser, "params", _PARAM_KEYS)
-    kwargs = {}
-    if parser.has_section("params"):
-        for key, value in parser.items("params"):
-            try:
-                kwargs[_PARAM_KEYS[key]] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"parameter {key} = {value!r} is not a number") from exc
-    return GasParameters(**kwargs)
-
-
-def _build_scenario(parser, params) -> ScenarioSpec:
-    _check_keys(parser, "scenario", _SCENARIO_KEYS)
-    kwargs = {"params": params}
-    if parser.has_section("scenario"):
-        for key, value in parser.items("scenario"):
-            if key == "family":
-                kwargs[key] = value.strip()
-            elif key in ("N", "picard_max_iters"):
-                try:
-                    kwargs[key] = int(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key} = {value!r} is not an integer") from exc
-            else:
-                try:
-                    kwargs[key] = float(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key} = {value!r} is not a number") from exc
-    return ScenarioSpec(**kwargs)
-
-
-def load_run_config(path) -> RunConfig:
-    parser = _read_ini(path)
-    for section in parser.sections():
-        if section not in ("scenario", "params", "run", "sweep"):
-            raise ConfigError(f"unknown section [{section}]")
-    params = _build_params(parser)
-    scenario = _build_scenario(parser, params)
-    _check_keys(parser, "run", _RUN_KEYS)
-    kwargs = {}
-    if parser.has_section("run"):
-        section = dict(parser.items("run"))
-        if "output_dir" in section:
-            kwargs["output_dir"] = section["output_dir"].strip()
-        if "sample_cadence" in section:
-            kwargs["sample_cadence"] = float(section["sample_cadence"])
-        if "probes" in section:
-            kwargs["probes"] = _parse_list(section["probes"], int)
-        if "emit_snapshots" in section:
-            kwargs["emit_snapshots"] = _parse_bool(section["emit_snapshots"])
-        if "snapshot_times" in section:
-            kwargs["snapshot_times"] = _parse_list(section["snapshot_times"], float)
-    return RunConfig(scenario=scenario, **kwargs)
 
 
 def _parse_beta_token(token):
@@ -192,20 +87,98 @@ def _parse_beta_token(token):
     return lambda b: value
 
 
+@dataclass
+class SweepConfig:
+    """Grid of conductivity/rate exponents layered over a base run."""
+
+    base: RunConfig
+    b_values: list[float]
+    # each entry maps b to beta: "2" is a constant, "b+8" an offset from b
+    beta_values: list = field(metadata={"parse": lambda text: _parse_list(text, _parse_beta_token)})
+    max_parallel: int = 1
+
+    def __post_init__(self):
+        if not self.b_values or not self.beta_values:
+            raise ConfigError("sweep value lists must be nonempty")
+        if self.max_parallel < 1:
+            raise ConfigError("max_parallel must be >= 1")
+        for b, beta in self.cells():
+            try:
+                replace(self.base.scenario.params, b=b, beta=beta)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell (b={b:g}, beta={beta:g}): {exc}") from exc
+
+    def cells(self):
+        """(b, beta) of every grid cell, b-major in config order."""
+        return [(b, beta_fn(b)) for b in self.b_values for beta_fn in self.beta_values]
+
+
+_PARSERS = {
+    str: str.strip,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    list[int]: lambda text: _parse_list(text, int),
+    list[float]: lambda text: _parse_list(text, float),
+}
+_CONFIG_KEY = {"lam": "lambda"}
+
+
+def _read_ini(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    try:
+        with open(path, "r") as handle:
+            parser.read_file(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config {path!r}: {exc}") from exc
+    return parser
+
+
+def _read_section(parser, section, cls, **given):
+    """Build dataclass ``cls`` from ``given`` plus the keys of ``[section]``.
+
+    Every field not in ``given`` is a key, spelled as the field name except
+    where ``_CONFIG_KEY`` renames it.  Values are converted by the field's
+    type (or its ``parse`` metadata); any failure is a ConfigError.
+    """
+    keyed = {_CONFIG_KEY.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
+    items = parser.items(section) if parser.has_section(section) else []
+    unknown = {key for key, _ in items} - set(keyed)
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    kwargs = dict(given)
+    for key, text in items:
+        f = keyed[key]
+        try:
+            kwargs[f.name] = (f.metadata.get("parse") or _PARSERS[f.type])(text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {text!r}: {exc}") from exc
+    missing = [key for key, f in keyed.items() if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"[{section}] needs {', '.join(missing)}")
+    return cls(**kwargs)
+
+
+def _load_run(parser) -> RunConfig:
+    for section in parser.sections():
+        if section not in ("scenario", "params", "run", "sweep"):
+            raise ConfigError(f"unknown section [{section}]")
+    params = _read_section(parser, "params", GasParameters)
+    scenario = _read_section(parser, "scenario", ScenarioSpec, params=params)
+    return _read_section(parser, "run", RunConfig, scenario=scenario)
+
+
+def load_run_config(path) -> RunConfig:
+    return _load_run(_read_ini(path))
+
+
 def load_sweep_config(path) -> SweepConfig:
     parser = _read_ini(path)
-    base = load_run_config(path)
-    _check_keys(parser, "sweep", _SWEEP_KEYS)
-    if not parser.has_section("sweep"):
-        raise ConfigError("sweep config needs a [sweep] section")
-    section = dict(parser.items("sweep"))
-    if "b_values" not in section or "beta_values" not in section:
-        raise ConfigError("[sweep] needs b_values and beta_values")
-    b_values = _parse_list(section["b_values"], float)
-    beta_values = [_parse_beta_token(t) for t in section["beta_values"].split(",") if t.strip()]
-    max_parallel = int(section.get("max_parallel", "1"))
-    return SweepConfig(base=base, b_values=b_values, beta_values=beta_values,
-                       max_parallel=max_parallel)
+    return _read_section(parser, "sweep", SweepConfig, base=_load_run(parser))
 
 
 def _atomic_write(path, text):
@@ -384,14 +357,9 @@ def sweep_command(config_path, output_dir=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    cells = []
-    for b in config.b_values:
-        for beta_fn in config.beta_values:
-            beta = beta_fn(b)
-            cells.append((b, beta))
     jobs = [
         (b, beta, os.path.join(out_root, f"cell_b{b:g}_beta{beta:g}"))
-        for b, beta in cells
+        for b, beta in config.cells()
     ]
     if workers == 1:
         rows = [_sweep_cell(config.base, b, beta, d) for b, beta, d in jobs]

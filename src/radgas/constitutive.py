@@ -61,12 +61,6 @@ class GasParameters:
         if self.beta < 0:
             raise ConfigError(f"rate exponent beta must be >= 0, got {self.beta}")
 
-    @property
-    def admissible(self) -> bool:
-        """Whether (b, beta) lies in the range the theory covers."""
-        return self.b > 12.0 / 7.0 and 0.0 <= self.beta < self.b + 9.0
-
-
 
 def _check_quadrant(v, theta):
     if np.any(np.asarray(v) <= 0.0):

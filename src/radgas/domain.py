@@ -7,7 +7,7 @@ N+1 mesh nodes; volume, temperature, and reactant fraction live on the N
 cell centers.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "Grid",
     "State",
     "ScenarioSpec",
+    "StepControls",
     "ParameterReport",
     "InitialDataReport",
     "build_grid",
@@ -26,6 +27,9 @@ __all__ = [
     "validate_initial_data",
     "scenario_catalog",
     "boundary_band_cells",
+    "boundary_deviation",
+    "controls_for",
+    "norms",
 ]
 
 FAR_FIELD = (1.0, 0.0, 1.0, 0.0)
@@ -80,16 +84,51 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in ("equilibrium", "gaussian", "compact_bump"):
             raise ConfigError(f"unknown initial-data family {self.family!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.width <= 0:
             raise ConfigError("width must be > 0")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError("cfl must lie in (0, 1]")
         if self.T_end <= 0:
             raise ConfigError("T_end must be > 0")
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ConfigError("Picard tolerance must be > 0 and iteration cap >= 1")
-        if self.floor_v <= 0 or self.floor_theta <= 0:
+        controls_for(self)  # StepControls owns the cfl, Picard and floor checks
+
+
+@dataclass(frozen=True)
+class StepControls:
+    """Timestep selection, iteration, and positivity-floor settings."""
+
+    cfl: float = 0.5
+    dt_min: float = 1e-12
+    dt_max: float = np.inf
+    picard_tol: float = 1e-10
+    picard_max_iters: int = 50
+    floor_v: float = 1e-6
+    floor_theta: float = 1e-6
+    max_step_rejections: int = 30
+
+    def __post_init__(self):
+        if not (0.0 < self.cfl <= 1.0):
+            raise ConfigError("cfl must lie in (0, 1]")
+        if not (0.0 < self.dt_min <= self.dt_max):
+            raise ConfigError("need 0 < dt_min <= dt_max")
+        if not (self.floor_v > 0 and self.floor_theta > 0):
             raise ConfigError("positivity floors must be > 0")
+        if not (self.picard_tol > 0 and self.picard_max_iters >= 1):
+            raise ConfigError("Picard tolerance must be > 0 and iteration cap >= 1")
+
+
+def controls_for(spec: ScenarioSpec, dt_max: float = np.inf) -> StepControls:
+    """Build step controls from a scenario, optionally capping the timestep."""
+    return StepControls(
+        cfl=spec.cfl,
+        dt_max=dt_max,
+        picard_tol=spec.picard_tol,
+        picard_max_iters=spec.picard_max_iters,
+        floor_v=spec.floor_v,
+        floor_theta=spec.floor_theta,
+    )
 
 
 def build_grid(L: float, N: int) -> Grid:
@@ -200,6 +239,37 @@ def boundary_band_cells(N: int) -> int:
     return max(1, int(round(0.05 * N)))
 
 
+def boundary_deviation(state: State, grid: Grid) -> float:
+    """Largest deviation from the far-field state over the outer 5% band."""
+    band = boundary_band_cells(grid.N)
+    worst = 0.0
+    for f in (state.v - 1.0, state.theta - 1.0, state.z):
+        worst = max(worst, float(np.max(np.abs(f[:band]))), float(np.max(np.abs(f[-band:]))))
+    worst = max(
+        worst,
+        float(np.max(np.abs(state.u[: band + 1]))),
+        float(np.max(np.abs(state.u[-band - 1:]))),
+    )
+    return worst
+
+
+def norms(state: State, grid: Grid) -> dict:
+    """Deviation norms of (v-1, u, theta-1, z) and their discrete gradients."""
+    dx = grid.dx
+    devs = (state.v - 1.0, 0.5 * (state.u[:-1] + state.u[1:]), state.theta - 1.0, state.z)
+    p2 = sum(np.sum(f**2) for f in devs) * dx
+    p4 = sum(np.sum(f**4) for f in devs) * dx
+    linf = max(float(np.max(np.abs(f))) for f in devs)
+    grads2 = sum(np.sum((np.diff(f) / dx) ** 2) for f in (state.v, state.theta, state.z)) * dx
+    grads2 += np.sum((np.diff(state.u) / dx) ** 2) * dx
+    return {
+        "L2": float(np.sqrt(p2)),
+        "L4": float(p4**0.25),
+        "Linf": linf,
+        "grad_L2": float(np.sqrt(grads2)),
+    }
+
+
 @dataclass(frozen=True)
 class InitialDataReport:
     """Positivity, confinement, far-field, and norm checks on initial data."""
@@ -212,17 +282,6 @@ class InitialDataReport:
     norms: dict
     passed: bool
     failures: tuple
-
-    def summary(self) -> str:
-        head = "initial data OK" if self.passed else "initial data INVALID: " + "; ".join(self.failures)
-        return (
-            f"{head}\n"
-            f"  min v0 = {self.min_v:.6g}, min theta0 = {self.min_theta:.6g}, "
-            f"z0 range = [{self.z_min:.3g}, {self.z_max:.3g}]\n"
-            f"  far-field deviation (outer 5% cells) = {self.far_field_deviation:.3e}\n"
-            f"  perturbation norms: "
-            + ", ".join(f"{k} = {val:.6g}" for k, val in self.norms.items())
-        )
 
 
 def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
@@ -241,26 +300,17 @@ def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
     if z_min < 0 or z_max > 1:
         failures.append("z0 leaves [0, 1]")
 
-    band = boundary_band_cells(grid.N)
-    dev_fields = [state.v - 1.0, state.theta - 1.0, state.z]
-    far = 0.0
-    for f in dev_fields:
-        far = max(far, float(np.max(np.abs(f[:band]))), float(np.max(np.abs(f[-band:]))))
-    far = max(far, float(np.max(np.abs(state.u[: band + 1]))), float(np.max(np.abs(state.u[-band - 1:]))))
+    far = boundary_deviation(state, grid)
     if far >= INITIAL_FAR_FIELD_TOL:
         failures.append(f"far-field deviation {far:.3e} exceeds {INITIAL_FAR_FIELD_TOL:.0e}")
 
-    dx = grid.dx
-    u_c = 0.5 * (state.u[:-1] + state.u[1:])
-    dev2 = (state.v - 1.0) ** 2 + u_c**2 + (state.theta - 1.0) ** 2 + state.z**2
-    grads = [np.diff(f) / dx for f in (state.v, state.theta, state.z)]
-    grad2 = sum(np.sum(g**2) for g in grads) * dx + np.sum((np.diff(state.u) / dx) ** 2) * dx
-    norms = {
-        "z_L1": float(np.sum(np.abs(state.z)) * dx),
-        "dev_L2": float(np.sqrt(np.sum(dev2) * dx)),
-        "dev_H1": float(np.sqrt(np.sum(dev2) * dx + grad2)),
+    dev = norms(state, grid)
+    initial_norms = {
+        "z_L1": float(np.sum(np.abs(state.z)) * grid.dx),
+        "dev_L2": dev["L2"],
+        "dev_H1": float(np.sqrt(dev["L2"] ** 2 + dev["grad_L2"] ** 2)),
     }
-    for key, val in norms.items():
+    for key, val in initial_norms.items():
         if not np.isfinite(val):
             failures.append(f"norm {key} not finite")
 
@@ -270,7 +320,7 @@ def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
         z_min=z_min,
         z_max=z_max,
         far_field_deviation=far,
-        norms=norms,
+        norms=initial_norms,
         passed=not failures,
         failures=tuple(failures),
     )

@@ -17,7 +17,7 @@ from .constitutive import (
     internal_energy,
     pressure,
 )
-from .domain import Grid, State, boundary_band_cells
+from .domain import Grid, State, boundary_deviation, norms
 from .errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 
 __all__ = [
@@ -200,36 +200,6 @@ def accumulate_XY(states, params: GasParameters, grid: Grid):
     return X, Y
 
 
-def norms(state: State, grid: Grid) -> dict:
-    """Deviation norms of (v-1, u, theta-1, z) and their discrete gradients."""
-    dx = grid.dx
-    devs = (state.v - 1.0, _u_on_cells(state.u), state.theta - 1.0, state.z)
-    p2 = sum(np.sum(f**2) for f in devs) * dx
-    p4 = sum(np.sum(f**4) for f in devs) * dx
-    linf = max(float(np.max(np.abs(f))) for f in devs)
-    grads2 = sum(np.sum((np.diff(f) / dx) ** 2) for f in (state.v, state.theta, state.z)) * dx
-    grads2 += np.sum((np.diff(state.u) / dx) ** 2) * dx
-    return {
-        "L2": float(np.sqrt(p2)),
-        "L4": float(p4**0.25),
-        "Linf": linf,
-        "grad_L2": float(np.sqrt(grads2)),
-    }
-
-
-def _boundary_deviation(state: State, grid: Grid) -> float:
-    band = boundary_band_cells(grid.N)
-    worst = 0.0
-    for f in (state.v - 1.0, state.theta - 1.0, state.z):
-        worst = max(worst, float(np.max(np.abs(f[:band]))), float(np.max(np.abs(f[-band:]))))
-    worst = max(
-        worst,
-        float(np.max(np.abs(state.u[: band + 1]))),
-        float(np.max(np.abs(state.u[-band - 1:]))),
-    )
-    return worst
-
-
 def make_record(state: State, grid: Grid, params: GasParameters, X_acc: float, Y_run: float):
     """Assemble a DiagnosticsRecord; returns (record, updated running Y)."""
     mass_dev, momentum, total_energy = conserved_quantities(state, grid, params)
@@ -250,7 +220,7 @@ def make_record(state: State, grid: Grid, params: GasParameters, X_acc: float, Y
         max_z=float(np.max(state.z)),
         z_L1=float(np.sum(np.abs(state.z)) * grid.dx),
         norms=norms(state, grid),
-        boundary_deviation=_boundary_deviation(state, grid),
+        boundary_deviation=boundary_deviation(state, grid),
     )
     return rec, Y_run
 

@@ -29,7 +29,16 @@ from .constitutive import (
     pressure,
     reaction_rate,
 )
-from .domain import Grid, ScenarioSpec, State, build_grid, make_initial_data, validate_initial_data
+from .domain import (
+    Grid,
+    ScenarioSpec,
+    State,
+    StepControls,
+    build_grid,
+    controls_for,
+    make_initial_data,
+    validate_initial_data,
+)
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -54,42 +63,6 @@ __all__ = [
 
 Z_BOUND_TOL = 1e-12
 _PIVOT_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class StepControls:
-    """Timestep selection, iteration, and positivity-floor settings."""
-
-    cfl: float = 0.5
-    dt_min: float = 1e-12
-    dt_max: float = math.inf
-    picard_tol: float = 1e-10
-    picard_max_iters: int = 50
-    floor_v: float = 1e-6
-    floor_theta: float = 1e-6
-    max_step_rejections: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError("cfl must lie in (0, 1]")
-        if self.dt_min <= 0 or self.dt_max < self.dt_min:
-            raise ConfigError("need 0 < dt_min <= dt_max")
-        if self.floor_v <= 0 or self.floor_theta <= 0:
-            raise ConfigError("positivity floors must be > 0")
-        if self.picard_tol <= 0 or self.picard_max_iters < 1:
-            raise ConfigError("Picard tolerance must be > 0 and iteration cap >= 1")
-
-
-def controls_for(spec: ScenarioSpec, dt_max: float = math.inf) -> StepControls:
-    """Build step controls from a scenario, optionally capping the timestep."""
-    return StepControls(
-        cfl=spec.cfl,
-        dt_max=dt_max,
-        picard_tol=spec.picard_tol,
-        picard_max_iters=spec.picard_max_iters,
-        floor_v=spec.floor_v,
-        floor_theta=spec.floor_theta,
-    )
 
 
 @dataclass
@@ -351,7 +324,7 @@ def _check_state_bounds(state, controls, forced):
             raise PositivityError("reactant fraction left [0, 1]")
 
 
-def strang_step(state, grid, params, dt, controls=None, sources=None, heat_first=False):
+def strang_step(state, grid, params, dt, controls=None, sources=None):
     """One composed step with rejection control; returns a StepOutcome.
 
     On PositivityError or ConvergenceError the attempt is discarded and
@@ -383,19 +356,11 @@ def strang_step(state, grid, params, dt, controls=None, sources=None, heat_first
                     sources=sources, t_start=windows[widx][0],
                 )
 
-            iters = 0
-            if heat_first:
-                s1, it1 = heat_sub(state, 0)
-                s2 = species_sub(s1, 0)
-                s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
-                s4 = species_sub(s3, 1)
-                s5, it2 = heat_sub(s4, 1)
-            else:
-                s1 = species_sub(state, 0)
-                s2, it1 = heat_sub(s1, 0)
-                s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
-                s4, it2 = heat_sub(s3, 1)
-                s5 = species_sub(s4, 1)
+            s1 = species_sub(state, 0)
+            s2, it1 = heat_sub(s1, 0)
+            s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
+            s4, it2 = heat_sub(s3, 1)
+            s5 = species_sub(s4, 1)
             iters = max(it1, it2)
 
             _check_state_bounds(s5, controls, forced=sources is not None)
@@ -436,10 +401,6 @@ class RunResult:
         if hasattr(first, name):
             return np.array([getattr(r, name) for r in self.records])
         return np.array([r.norms[name] for r in self.records])
-
-    def __iter__(self):
-        """Unpack as (final_state, diagnostics history)."""
-        return iter((self.final_state, self.records))
 
 
 def run_simulation(

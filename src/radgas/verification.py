@@ -238,17 +238,27 @@ def integrate_manufactured(
     return state
 
 
-def _field_errors(state: State, ms: ManufacturedSolution, grid: Grid, t: float) -> dict:
-    exact = ms.state(grid, t)
+def _field_errors(state: State, reference: dict, dx: float) -> dict:
+    """L2 and Linf norms of each field of ``state`` minus ``reference[field]``."""
     out = {}
     for f in FIELDS:
-        diff = getattr(state, f) - getattr(exact, f)
-        dxw = grid.dx
+        diff = getattr(state, f) - reference[f]
         out[f] = {
-            "L2": float(np.sqrt(np.sum(diff**2) * dxw)),
+            "L2": float(np.sqrt(np.sum(diff**2) * dx)),
             "Linf": float(np.max(np.abs(diff))),
         }
     return out
+
+
+def _orders(errors) -> dict:
+    """Per-field log2 ratios of successive L2 errors."""
+    return {
+        f: [
+            math.log2(coarse[f]["L2"] / fine[f]["L2"]) if fine[f]["L2"] > 0 else math.inf
+            for coarse, fine in zip(errors[:-1], errors[1:])
+        ]
+        for f in FIELDS
+    }
 
 
 @dataclass
@@ -258,19 +268,6 @@ class ConvergenceReport:
     resolutions: list
     errors: list
     orders: dict
-
-    def csv_rows(self):
-        rows = ["resolution,field,L2,Linf,order"]
-        for i, (res, errs) in enumerate(zip(self.resolutions, self.errors)):
-            for f in FIELDS:
-                order = self.orders[f][i - 1] if i > 0 else float("nan")
-                rows.append(
-                    f"{res},{f},{errs[f]['L2']:.17g},{errs[f]['Linf']:.17g},{order:.6g}"
-                )
-        return rows
-
-    def min_order(self) -> float:
-        return min(seq[-1] for seq in self.orders.values())
 
 
 def convergence_study(
@@ -296,17 +293,8 @@ def convergence_study(
         dx = 2.0 * L / N
         state = integrate_manufactured(ms, params, L, N, T, dt_over_dx * dx)
         grid = build_grid(L, N)
-        errors.append(_field_errors(state, ms, grid, T))
-    orders = {
-        f: [
-            math.log2(errors[i][f]["L2"] / errors[i + 1][f]["L2"])
-            if errors[i + 1][f]["L2"] > 0
-            else math.inf
-            for i in range(len(resolutions) - 1)
-        ]
-        for f in FIELDS
-    }
-    return ConvergenceReport(resolutions=list(resolutions), errors=errors, orders=orders)
+        errors.append(_field_errors(state, vars(ms.state(grid, T)), grid.dx))
+    return ConvergenceReport(resolutions=list(resolutions), errors=errors, orders=_orders(errors))
 
 
 def temporal_convergence_study(
@@ -330,27 +318,11 @@ def temporal_convergence_study(
             raise ConfigError("timesteps must halve at each level")
     grid = build_grid(L, N)
     ref = integrate_manufactured(ms, params, L, N, T, dts[-1] / 4.0)
-    errors = []
-    for dt in dts:
-        state = integrate_manufactured(ms, params, L, N, T, dt)
-        errs = {}
-        for f in FIELDS:
-            diff = getattr(state, f) - getattr(ref, f)
-            errs[f] = {
-                "L2": float(np.sqrt(np.sum(diff**2) * grid.dx)),
-                "Linf": float(np.max(np.abs(diff))),
-            }
-        errors.append(errs)
-    orders = {
-        f: [
-            math.log2(errors[i][f]["L2"] / errors[i + 1][f]["L2"])
-            if errors[i + 1][f]["L2"] > 0
-            else math.inf
-            for i in range(len(dts) - 1)
-        ]
-        for f in FIELDS
-    }
-    return ConvergenceReport(resolutions=list(dts), errors=errors, orders=orders)
+    errors = [
+        _field_errors(integrate_manufactured(ms, params, L, N, T, dt), vars(ref), grid.dx)
+        for dt in dts
+    ]
+    return ConvergenceReport(resolutions=list(dts), errors=errors, orders=_orders(errors))
 
 
 def _restrict_to_coarse(fine: State, ratio: int) -> dict:
@@ -376,12 +348,4 @@ def oracle_compare(spec: ScenarioSpec, N_coarse: int, N_fine: int, sample_cadenc
     fine = run_simulation(replace(spec, N=N_fine), sample_cadence=cadence)
     ratio = N_fine // N_coarse
     restricted = _restrict_to_coarse(fine.final_state, ratio)
-    dx = coarse.grid.dx
-    out = {}
-    for f in FIELDS:
-        diff = getattr(coarse.final_state, f) - restricted[f]
-        out[f] = {
-            "L2": float(np.sqrt(np.sum(diff**2) * dx)),
-            "Linf": float(np.max(np.abs(diff))),
-        }
-    return out
+    return _field_errors(coarse.final_state, restricted, coarse.grid.dx)

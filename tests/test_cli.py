@@ -1,6 +1,7 @@
 """Config parsing, command exit codes, artifact formats, determinism."""
 
 import filecmp
+import re
 
 import pytest
 
@@ -70,6 +71,24 @@ def test_unknown_parameter_key_is_fatal(tmp_path):
     bad = SMALL_SCENARIO.format(out=tmp_path).replace("b = 3.0", "conductivity_b = 3.0")
     with pytest.raises(ConfigError):
         load_run_config(write_config(tmp_path, bad))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("scenario", "dt_max"),
+    ("scenario", "dt_min"),
+    ("scenario", "max_step_rejections"),
+    ("params", "lam"),
+])
+def test_config_keys_are_the_documented_ones(tmp_path, section, key):
+    """Solver-internal controls and the Python spelling of lambda are not keys."""
+    text = SMALL_SCENARIO.format(out=tmp_path).replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match="unknown keys"):
+        load_run_config(write_config(tmp_path, text))
+
+
+def test_lambda_key_sets_reaction_heat(tmp_path):
+    text = SMALL_SCENARIO.format(out=tmp_path).replace("[params]\n", "[params]\nlambda = 2.5\n")
+    assert load_run_config(write_config(tmp_path, text)).scenario.params.lam == 2.5
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -194,6 +213,35 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     fields = lines[1].split(",")
     assert fields[2] == "false"
     assert fields[3] == "blowup"
+
+
+def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
+    for bvals, betavals in (("3", "0, -1"), ("-1, 3", "2")):
+        text = SMALL_SCENARIO.format(out=tmp_path / "bad") + SWEEP_TAIL.format(
+            bvals=bvals, betavals=betavals, workers="2")
+        assert sweep_command(write_config(tmp_path, text)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "N", "sixty-four"),
+    ("scenario", "cfl", "half"),
+    ("run", "sample_cadence", "abc"),
+    ("run", "probes", "x"),
+    ("run", "emit_snapshots", "maybe"),
+    ("sweep", "max_parallel", "two"),
+    ("sweep", "b_values", "3, x"),
+])
+def test_malformed_value_exits_2(tmp_path, capsys, section, key, value):
+    text = SMALL_SCENARIO.format(out=tmp_path / "m") + SWEEP_TAIL.format(
+        bvals="3", betavals="2", workers="1")
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    command = "sweep" if section == "sweep" else "run"
+    assert main([command, write_config(tmp_path, text)]) == EXIT_CONFIG
+    assert f"{key} = {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_verify_rejects_zero_horizon(tmp_path):

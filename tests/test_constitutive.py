@@ -163,12 +163,6 @@ def test_operations_are_pure():
     assert a == b
 
 
-def test_admissibility_predicate():
-    assert params(b=3, beta=2).admissible
-    assert not params(b=12.0 / 7.0, beta=0).admissible
-    assert not params(b=2, beta=11).admissible
-
-
 def test_parameter_validation():
     with pytest.raises(ConfigError):
         GasParameters(R=-1.0)

@@ -168,3 +168,7 @@ def test_scenario_spec_validation():
         spec(T_end=0.0)
     with pytest.raises(ConfigError):
         spec(width=-1.0)
+    for name, value in (("T_end", math.nan), ("T_end", math.inf),
+                        ("picard_tol", math.nan), ("floor_v", math.nan)):
+        with pytest.raises(ConfigError):
+            spec(**{name: value})

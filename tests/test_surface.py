@@ -1,0 +1,29 @@
+"""Every name the package advertises resolves where it is advertised."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import radgas
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(radgas.__path__)])
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"radgas.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"radgas.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_imports_resolve_and_are_public():
+    tree = ast.parse(Path(radgas.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"radgas.{node.module}")
+        for alias in node.names:
+            where = f"radgas.{node.module}.{alias.name}"
+            assert getattr(radgas, alias.asname or alias.name) is getattr(module, alias.name), where
+            assert alias.name in getattr(module, "__all__", [alias.name]), where

@@ -138,14 +138,6 @@ def test_error_sequence_strictly_decreasing_for_smooth_fields():
         assert seq[0] > seq[1] > seq[2]
 
 
-def test_report_serializes_to_csv_rows():
-    ms = gaussian_manufactured_solution()
-    report = convergence_study(ms, PARAMS, [32, 64, 128], T=0.1)
-    rows = report.csv_rows()
-    assert rows[0] == "resolution,field,L2,Linf,order"
-    assert len(rows) == 1 + 3 * 4
-
-
 def test_oracle_compare_equilibrium_zero_discrepancy():
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=64, T_end=0.5)
     result = oracle_compare(spec, 64, 256)
