@@ -56,6 +56,10 @@ class RunConfig:
         for k in self.probes:
             if k < 0:
                 raise ConfigError("probe window indices must be >= 0")
+        if self.emit_snapshots:
+            for t in self.snapshot_times:
+                if not t >= 0:
+                    raise ConfigError(f"snapshot time {t:g} must be >= 0")
 
 
 def _parse_bool(text):
@@ -289,6 +293,10 @@ def run_command(config_path, output_dir=None) -> int:
         if config.emit_snapshots:
             for t_req in config.snapshot_times:
                 name = f"snapshot_t{t_req:g}.dat"
+                if t_req > config.scenario.T_end:
+                    print(f"warning: snapshot time {t_req:g} is past T_end = "
+                          f"{config.scenario.T_end:g}; {name} holds the final state",
+                          file=sys.stderr)
                 _write_snapshot(os.path.join(out_dir, name), result, t_req)
         _atomic_write(os.path.join(out_dir, "report.txt"), _report_text(config, result))
     except OSError as exc:

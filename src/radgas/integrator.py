@@ -16,6 +16,7 @@ Positivity failures and non-convergence reject the step and retry at dt/2;
 repeated rejection raises BlowUpError.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -76,14 +77,12 @@ class StepOutcome:
     species_consumed: float = 0.0
 
 
-def tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by forward elimination and back substitution.
+def _thomas_solve(lower, diag, upper, rhs):
+    """Thomas algorithm: forward elimination and back substitution.
 
-    ``lower`` and ``upper`` hold the n-1 off-diagonal entries, ``diag`` and
-    ``rhs`` the n diagonal/right-hand-side entries.  Raises
-    SingularMatrixError when a pivot magnitude falls below 1e-300; callers
-    normally guarantee strict diagonal dominance, so this only fires on
-    degenerate input.
+    The reference for ``tridiagonal_solve`` and its fallback when numpy's
+    BLAS exports no ``dgtsv``.  Pivots are not exchanged; a pivot magnitude
+    below 1e-300 raises SingularMatrixError.
     """
     d = np.asarray(diag, dtype=float).tolist()
     r = np.asarray(rhs, dtype=float).tolist()
@@ -113,6 +112,62 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = rp[i] - cp[i] * x[i + 1]
     return np.array(x)
+
+
+def _bind_dgtsv():
+    """LAPACK ``dgtsv`` (ILP64) from the OpenBLAS numpy already loaded, or None.
+
+    ``dlsym`` on numpy's linalg extension searches the libraries it links, so
+    no library path is needed.  ``PyDLL`` keeps the GIL held during the call:
+    a solve takes microseconds, and releasing and re-taking the GIL around
+    each one stalls the sweep's worker threads.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        fn = ctypes.PyDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    fn.argtypes = [int_p, int_p] + [ctypes.c_void_p] * 4 + [int_p, int_p]
+    fn.restype = None
+    return fn
+
+
+_DGTSV = _bind_dgtsv()
+_ONE = ctypes.c_int64(1)
+
+
+def tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve a tridiagonal system with LAPACK ``dgtsv``.
+
+    ``lower`` and ``upper`` hold the n-1 off-diagonal entries, ``diag`` and
+    ``rhs`` the n diagonal/right-hand-side entries.  ``dgtsv`` is Gaussian
+    elimination with partial pivoting; it raises SingularMatrixError only on
+    an exactly zero pivot.  Callers normally guarantee strict diagonal
+    dominance, so this only fires on degenerate input.  Without ``dgtsv`` in
+    numpy's BLAS the Thomas algorithm (``_thomas_solve``) is used instead.
+    """
+    if _DGTSV is None:
+        return _thomas_solve(lower, diag, upper, rhs)
+    # dgtsv overwrites all four arrays, so each is a fresh contiguous copy
+    dl = np.array(lower, dtype=np.float64)
+    d = np.array(diag, dtype=np.float64)
+    du = np.array(upper, dtype=np.float64)
+    x = np.array(rhs, dtype=np.float64)
+    n = d.size
+    if d.shape != (n,) or x.shape != (n,) or dl.shape != (n - 1,) or du.shape != (n - 1,):
+        raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    n_c = ctypes.c_int64(n)
+    info = ctypes.c_int64(0)
+    _DGTSV(
+        ctypes.byref(n_c), ctypes.byref(_ONE),
+        dl.ctypes.data, d.ctypes.data, du.ctypes.data, x.ctypes.data,
+        ctypes.byref(n_c), ctypes.byref(info),
+    )
+    if info.value > 0:
+        raise SingularMatrixError(f"zero pivot at row {info.value - 1}")
+    return x
 
 
 def select_timestep(state: State, grid: Grid, params: GasParameters, controls: StepControls) -> float:
@@ -419,7 +474,7 @@ def run_simulation(
     """
     from .functionals import accumulate_XY_increment, make_record
 
-    if sample_cadence <= 0:
+    if not sample_cadence > 0:
         raise ConfigError("sample_cadence must be > 0")
     grid = build_grid(spec.L, spec.N)
     params = spec.params

@@ -250,13 +250,17 @@ def _field_errors(state: State, reference: dict, dx: float) -> dict:
     return out
 
 
+def _order(coarse: float, fine: float) -> float:
+    """log2(coarse / fine); inf if the fine error is 0, -inf if only the coarse one is."""
+    if not fine > 0:
+        return math.inf
+    return math.log2(coarse / fine) if coarse != 0 else -math.inf
+
+
 def _orders(errors) -> dict:
     """Per-field log2 ratios of successive L2 errors."""
     return {
-        f: [
-            math.log2(coarse[f]["L2"] / fine[f]["L2"]) if fine[f]["L2"] > 0 else math.inf
-            for coarse, fine in zip(errors[:-1], errors[1:])
-        ]
+        f: [_order(coarse[f]["L2"], fine[f]["L2"]) for coarse, fine in zip(errors[:-1], errors[1:])]
         for f in FIELDS
     }
 

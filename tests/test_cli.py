@@ -244,6 +244,27 @@ def test_malformed_value_exits_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("t_snap", ["-5", "nan"])
+def test_invalid_snapshot_time_exits_2(tmp_path, capsys, t_snap):
+    text = SMALL_SCENARIO.format(out=tmp_path / "s").replace(
+        "snapshot_times = 0, 0.5", f"snapshot_times = 0, {t_snap}")
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="snapshot time"):
+        load_run_config(path)
+    assert main(["run", path]) == EXIT_CONFIG
+    assert "snapshot time" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_snapshot_time_past_end_warns(tmp_path, capsys):
+    out = tmp_path / "s"
+    text = SMALL_SCENARIO.format(out=out).replace(
+        "snapshot_times = 0, 0.5", "snapshot_times = 0, 100")
+    assert main(["run", write_config(tmp_path, text)]) == EXIT_OK
+    assert "snapshot time 100 is past T_end = 0.5" in capsys.readouterr().err
+    assert (out / "snapshot_t100.dat").read_text().startswith("# t=0.5\n")
+
+
 def test_verify_rejects_zero_horizon(tmp_path):
     text = SMALL_SCENARIO.format(out=tmp_path / "v0").replace("T_end = 0.5", "T_end = 0")
     assert main(["verify", write_config(tmp_path, text)]) == EXIT_CONFIG

@@ -298,8 +298,9 @@ def test_run_simulation_blows_up_on_hopeless_floor():
 
 
 def test_run_simulation_rejects_bad_cadence(small_gaussian_spec):
-    with pytest.raises(ConfigError):
-        run_simulation(small_gaussian_spec, sample_cadence=0.0)
+    for cadence in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            run_simulation(small_gaussian_spec, sample_cadence=cadence)
 
 
 def test_step_controls_validation():

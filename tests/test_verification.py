@@ -10,7 +10,9 @@ from radgas.constitutive import GasParameters
 from radgas.domain import ScenarioSpec, build_grid
 from radgas.errors import ConfigError
 from radgas.verification import (
+    FIELDS,
     ManufacturedSources,
+    _orders,
     convergence_study,
     equilibrium_manufactured_solution,
     gaussian_manufactured_solution,
@@ -118,6 +120,14 @@ def test_convergence_study_equilibrium_is_exact():
     )
     for f in ("v", "u", "theta", "z"):
         assert report.errors[-1][f]["L2"] < 1e-14
+
+
+def test_orders_of_exact_levels():
+    """An exact fine level is order inf, an exact coarse level is order -inf."""
+    errors = [{f: {"L2": l2} for f in FIELDS} for l2 in (4.0, 1.0, 0.0, 0.0, 1e-16)]
+    orders = _orders(errors)
+    for f in FIELDS:
+        assert orders[f] == [2.0, math.inf, math.inf, -math.inf]
 
 
 def test_convergence_study_input_validation():
