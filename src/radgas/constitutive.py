@@ -63,16 +63,51 @@ class GasParameters:
 
 
 def _check_quadrant(v, theta):
-    if np.any(np.asarray(v) <= 0.0):
+    if (np.asarray(v) <= 0.0).any():
         raise ValueError("specific volume must be strictly positive")
-    if np.any(np.asarray(theta) <= 0.0):
+    if (np.asarray(theta) <= 0.0).any():
         raise ValueError("temperature must be strictly positive")
+
+
+# Unguarded kernels: one body per law.  The public functions below check the
+# quadrant and call them; the integrator checks once per substep and calls
+# them directly.  Powers of theta that several laws share are passed in
+# (theta_cu = theta**3, theta0_sq = theta0**2) so a caller computes each once.
+
+
+def _pressure(params, v, theta):
+    return params.R * theta / v + params.a * theta**4 / 3.0
+
+
+def _reaction_rate(params, theta):
+    return params.K_react * theta**params.beta * np.exp(-params.A / theta)
+
+
+def _conductivity(params, v, theta):
+    return params.kappa1 + params.kappa2 * v * theta**params.b
+
+
+def _p_v(params, v, theta):
+    return -params.R * theta / v**2
+
+
+def _p_theta(params, v, theta_cu):
+    return params.R / v + 4.0 * params.a * theta_cu / 3.0
+
+
+def _e_theta(params, v, theta_cu):
+    return params.Cv + 4.0 * params.a * v * theta_cu
+
+
+def _energy_theta_chord(params, v, theta0, theta1, theta0_sq, theta0_cu, theta1_cu):
+    cubic = theta1_cu + theta1**2 * theta0 + theta1 * theta0_sq + theta0_cu
+    return params.Cv + params.a * v * cubic
 
 
 def pressure(params: GasParameters, v, theta):
     """Total pressure R*theta/v + a*theta^4/3."""
     _check_quadrant(v, theta)
-    return params.R * theta / v + params.a * theta**4 / 3.0
+    return _pressure(params, v, theta)
 
 
 def internal_energy(params: GasParameters, v, theta):
@@ -87,15 +122,15 @@ def reaction_rate(params: GasParameters, theta):
     Underflow of the exponential for tiny theta returns exactly 0, which is
     the correct physical limit.
     """
-    if np.any(np.asarray(theta) <= 0.0):
+    if (np.asarray(theta) <= 0.0).any():
         raise ValueError("temperature must be strictly positive")
-    return params.K_react * theta**params.beta * np.exp(-params.A / theta)
+    return _reaction_rate(params, theta)
 
 
 def conductivity(params: GasParameters, v, theta):
     """Thermal conductivity kappa1 + kappa2*v*theta^b (bounded below by kappa1)."""
     _check_quadrant(v, theta)
-    return params.kappa1 + params.kappa2 * v * theta**params.b
+    return _conductivity(params, v, theta)
 
 
 def constitutive_partials(params: GasParameters, v, theta):
@@ -105,11 +140,9 @@ def constitutive_partials(params: GasParameters, v, theta):
     implicit heat solve well posed.
     """
     _check_quadrant(v, theta)
-    p_v = -params.R * theta / v**2
-    p_theta = params.R / v + 4.0 * params.a * theta**3 / 3.0
+    theta_cu = theta**3
     e_v = params.a * theta**4
-    e_theta = params.Cv + 4.0 * params.a * v * theta**3
-    return p_v, p_theta, e_v, e_theta
+    return _p_v(params, v, theta), _p_theta(params, v, theta_cu), e_v, _e_theta(params, v, theta_cu)
 
 
 def energy_theta_chord(params: GasParameters, v, theta0, theta1):
@@ -122,8 +155,7 @@ def energy_theta_chord(params: GasParameters, v, theta0, theta1):
     """
     _check_quadrant(v, theta0)
     _check_quadrant(v, theta1)
-    cubic = theta1**3 + theta1**2 * theta0 + theta1 * theta0**2 + theta0**3
-    return params.Cv + params.a * v * cubic
+    return _energy_theta_chord(params, v, theta0, theta1, theta0**2, theta0**3, theta1**3)
 
 
 def entropy_eta(params: GasParameters, v, theta):

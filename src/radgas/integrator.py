@@ -13,7 +13,10 @@ trapezoidal solve subcycled just enough that the update matrix keeps the
 discrete maximum principle, so 0 <= z <= max(z) holds for arbitrary data.
 
 Positivity failures and non-convergence reject the step and retry at dt/2;
-repeated rejection raises BlowUpError.
+repeated rejection raises BlowUpError.  A non-finite state raises
+BlowUpError at once.  Each public substep, ``strang_step`` and
+``select_timestep`` check the open quadrant v > 0, theta > 0 once on entry
+(ValueError) and then evaluate the unguarded constitutive kernels.
 """
 
 import ctypes
@@ -24,11 +27,14 @@ import numpy as np
 
 from .constitutive import (
     GasParameters,
-    conductivity,
-    constitutive_partials,
-    energy_theta_chord,
-    pressure,
-    reaction_rate,
+    _check_quadrant,
+    _conductivity,
+    _e_theta,
+    _energy_theta_chord,
+    _p_theta,
+    _p_v,
+    _pressure,
+    _reaction_rate,
 )
 from .domain import (
     Grid,
@@ -150,24 +156,32 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     """
     if _DGTSV is None:
         return _thomas_solve(lower, diag, upper, rhs)
-    # dgtsv overwrites all four arrays, so each is a fresh contiguous copy
-    dl = np.array(lower, dtype=np.float64)
-    d = np.array(diag, dtype=np.float64)
-    du = np.array(upper, dtype=np.float64)
-    x = np.array(rhs, dtype=np.float64)
-    n = d.size
-    if d.shape != (n,) or x.shape != (n,) or dl.shape != (n - 1,) or du.shape != (n - 1,):
+    n = np.size(diag)
+    if (np.shape(diag) != (n,) or np.shape(rhs) != (n,)
+            or np.shape(lower) != (n - 1,) or np.shape(upper) != (n - 1,)):
         raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    # dgtsv overwrites all four arrays, so they are copied into one buffer
+    # [dl | d | du | b] and passed as byte offsets from its base address
+    buf = np.concatenate((lower, diag, upper, rhs), dtype=np.float64)
+    base = buf.ctypes.data
     n_c = ctypes.c_int64(n)
     info = ctypes.c_int64(0)
     _DGTSV(
         ctypes.byref(n_c), ctypes.byref(_ONE),
-        dl.ctypes.data, d.ctypes.data, du.ctypes.data, x.ctypes.data,
+        base, base + 8 * (n - 1), base + 8 * (2 * n - 1), base + 8 * (3 * n - 2),
         ctypes.byref(n_c), ctypes.byref(info),
     )
     if info.value > 0:
         raise SingularMatrixError(f"zero pivot at row {info.value - 1}")
-    return x
+    # a compact copy, so the caller does not keep the whole buffer alive
+    return buf[3 * n - 2:].copy()
+
+
+def _check_finite(state, names=("v", "theta", "z", "u")):
+    """BlowUpError naming the first of the fields ``names`` that holds a NaN or inf."""
+    for name in names:
+        if not np.isfinite(getattr(state, name)).all():
+            raise BlowUpError(f"non-finite {name} in the state at t = {state.t:.6g}")
 
 
 def select_timestep(state: State, grid: Grid, params: GasParameters, controls: StepControls) -> float:
@@ -176,13 +190,23 @@ def select_timestep(state: State, grid: Grid, params: GasParameters, controls: S
     The per-cell signal speed is v*sqrt(max(-p_v + p_theta^2*theta/e_theta, 0)/v)
     evaluated from the constitutive partials; the cell velocity scale is the
     larger of the two adjacent node speeds.  Diffusive terms place no
-    restriction because they are integrated implicitly.
+    restriction because they are integrated implicitly.  A NaN or inf in
+    v, theta or u makes the speed non-finite and raises BlowUpError.
     """
-    p_v, p_theta, _, e_theta = constitutive_partials(params, state.v, state.theta)
-    gamma2 = np.maximum(-p_v + p_theta**2 * state.theta / e_theta, 0.0)
-    c = state.v * np.sqrt(gamma2 / state.v)
-    u_cell = np.maximum(np.abs(state.u[:-1]), np.abs(state.u[1:]))
-    speed = float(np.max(u_cell + c))
+    v, theta = state.v, state.theta
+    _check_quadrant(v, theta)
+    theta_cu = theta**3
+    p_v = _p_v(params, v, theta)
+    p_theta = _p_theta(params, v, theta_cu)
+    e_theta = _e_theta(params, v, theta_cu)
+    gamma2 = np.maximum(-p_v + p_theta**2 * theta / e_theta, 0.0)
+    c = v * np.sqrt(gamma2 / v)
+    abs_u = np.abs(state.u)
+    u_cell = np.maximum(abs_u[:-1], abs_u[1:])
+    speed = float((u_cell + c).max())
+    if not math.isfinite(speed):
+        _check_finite(state, ("v", "theta", "u"))
+        raise BlowUpError(f"acoustic signal speed overflowed at t = {state.t:.6g}")
     if speed <= 0.0:
         return controls.dt_max if math.isfinite(controls.dt_max) else 1.0
     raw = controls.cfl * grid.dx / speed
@@ -209,13 +233,14 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     h = dt
     u = state.u
     th = state.theta
+    _check_quadrant(state.v, th)
 
     sv1 = _source_eval(getattr(sources, "Sv", None), t0 + 0.25 * h, grid.cell_centers)
-    v_half = state.v + 0.5 * h * (np.diff(u) / dx + sv1)
-    if np.min(v_half) <= controls.floor_v:
+    v_half = state.v + 0.5 * h * ((u[1:] - u[:-1]) / dx + sv1)
+    if not v_half.min() > controls.floor_v:
         raise PositivityError("specific volume fell below floor in half update")
 
-    p = pressure(params, v_half, th)
+    p = _pressure(params, v_half, th)
     w = params.mu / (dx * dx * v_half)
     grad_p = (p[1:] - p[:-1]) / dx
     su = _source_eval(getattr(sources, "Su", None), t0 + 0.5 * h, grid.node_positions[1:-1])
@@ -224,14 +249,13 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     visc_old = w[1:] * (u[2:] - u[1:-1]) - w[:-1] * (u[1:-1] - u[:-2])
     rhs = u[1:-1] + 0.5 * h * visc_old + h * (-grad_p + su)
     diag = 1.0 + 0.5 * h * (w[:-1] + w[1:])
-    off_lower = -0.5 * h * w[1:-1]
-    off_upper = -0.5 * h * w[1:-1]
+    off = -0.5 * h * w[1:-1]
     u_new = np.zeros_like(u)
-    u_new[1:-1] = tridiagonal_solve(off_lower, diag, off_upper, rhs)
+    u_new[1:-1] = tridiagonal_solve(off, diag, off, rhs)
 
     sv2 = _source_eval(getattr(sources, "Sv", None), t0 + 0.75 * h, grid.cell_centers)
-    v_new = v_half + 0.5 * h * (np.diff(u_new) / dx + sv2)
-    if np.min(v_new) <= controls.floor_v:
+    v_new = v_half + 0.5 * h * ((u_new[1:] - u_new[:-1]) / dx + sv2)
+    if not v_new.min() > controls.floor_v:
         raise PositivityError("specific volume fell below floor")
 
     return State(state.t, v_new, th.copy(), state.z.copy(), u_new)
@@ -253,7 +277,7 @@ def _face_coefficients(cell_values, dx):
 
 def _flux_divergence(values, a):
     """a_{i+1}(f_{i+1}-f_i) - a_i(f_i-f_{i-1}) with zero-flux end faces."""
-    jumps = a[1:-1] * np.diff(values)
+    jumps = a[1:-1] * (values[1:] - values[:-1])
     out = np.zeros_like(values)
     out[:-1] += jumps
     out[1:] -= jumps
@@ -276,47 +300,53 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     h = dt
     v = state.v
     th_old = state.theta
+    _check_quadrant(v, th_old)
     z = state.z
-    u_x = np.diff(state.u) / dx
+    u_x = (state.u[1:] - state.u[:-1]) / dx
     viscous_heating = params.mu * u_x**2 / v
+    th_old_sq = th_old**2
+    th_old_cu = th_old**3
 
-    def volumetric_sources(th):
-        _, p_theta, _, _ = constitutive_partials(params, v, th)
-        return -th * p_theta * u_x + viscous_heating + params.lam * reaction_rate(params, th) * z
+    def coefficients(th, th_cu):
+        """Face conductances and volumetric sources at the iterate th (th_cu = th**3)."""
+        a = _face_coefficients(_conductivity(params, v, th) / v, dx)
+        p_theta = _p_theta(params, v, th_cu)
+        vol = -th * p_theta * u_x + viscous_heating + params.lam * _reaction_rate(params, th) * z
+        return a, vol
 
-    a_old = _face_coefficients(conductivity(params, v, th_old) / v, dx)
-    flux_old = _flux_divergence(th_old, a_old)
-    src_old = volumetric_sources(th_old) + _source_eval(
-        getattr(sources, "Stheta", None), t0, grid.cell_centers
-    )
+    stheta = getattr(sources, "Stheta", None)
+    a_old, vol_old = coefficients(th_old, th_old_cu)
+    half_flux_old = 0.5 * _flux_divergence(th_old, a_old)
+    src_old = vol_old + _source_eval(stheta, t0, grid.cell_centers)
+    stheta_new = _source_eval(stheta, t0 + h, grid.cell_centers)
 
-    th_star = th_old
+    # the first sweep starts from th_old, whose coefficients are already known
+    th_star, th_star_cu = th_old, th_old_cu
+    a_new, vol_new = a_old, vol_old
     iters = 0
     for iters in range(1, controls.picard_max_iters + 1):
-        a_new = _face_coefficients(conductivity(params, v, th_star) / v, dx)
-        src_new = volumetric_sources(th_star) + _source_eval(
-            getattr(sources, "Stheta", None), t0 + h, grid.cell_centers
-        )
-        e_chord = energy_theta_chord(params, v, th_old, th_star)
+        src_new = vol_new + stheta_new
+        e_chord = _energy_theta_chord(params, v, th_old, th_star, th_old_sq, th_old_cu, th_star_cu)
 
         diag = e_chord / h + 0.5 * (a_new[:-1] + a_new[1:])
-        lower = -0.5 * a_new[1:-1]
-        upper = -0.5 * a_new[1:-1]
-        rhs = e_chord * th_old / h + 0.5 * flux_old + 0.5 * (src_old + src_new)
+        off = -0.5 * a_new[1:-1]
+        rhs = e_chord * th_old / h + half_flux_old + 0.5 * (src_old + src_new)
 
-        th_next = tridiagonal_solve(lower, diag, upper, rhs)
-        if np.min(th_next) <= 0.0:
+        th_next = tridiagonal_solve(off, diag, off, rhs)
+        if not th_next.min() > 0.0:
             raise ConvergenceError("temperature iterate left the positive cone")
-        change = float(np.max(np.abs(th_next - th_star)))
+        change = float(np.abs(th_next - th_star).max())
         th_star = th_next
         if change < controls.picard_tol:
             break
+        th_star_cu = th_star**3
+        a_new, vol_new = coefficients(th_star, th_star_cu)
     else:
         raise ConvergenceError(
             f"heat solve did not reach {controls.picard_tol:g} in {controls.picard_max_iters} sweeps"
         )
 
-    if np.min(th_star) <= controls.floor_theta:
+    if not th_star.min() > controls.floor_theta:
         raise PositivityError("temperature fell below floor")
     return State(state.t, v.copy(), th_star, z.copy(), state.u.copy()), iters
 
@@ -336,12 +366,15 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     """
     t0 = state.t if t_start is None else t_start
     dx = grid.dx
-    phi = reaction_rate(params, state.theta)
+    phi = _reaction_rate(params, state.theta)
     a = _face_coefficients(params.d / state.v**2, dx)
     rate_scale = a[:-1] + a[1:] + phi
-    lam_max = float(np.max(rate_scale))
+    lam_max = float(rate_scale.max())
     n_sub = max(1, math.ceil(0.5 * dt * lam_max))
     delta = dt / n_sub
+    diag = 1.0 / delta + 0.5 * rate_scale
+    off = -0.5 * a[1:-1]
+    half_phi = 0.5 * phi
 
     z = state.z
     consumed = 0.0
@@ -351,31 +384,30 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
         src = 0.5 * (_source_eval(src_fn, tau, grid.cell_centers)
                      + _source_eval(src_fn, tau + delta, grid.cell_centers))
         flux_z = _flux_divergence(z, a)
-        diag = 1.0 / delta + 0.5 * rate_scale
-        lower = -0.5 * a[1:-1]
-        upper = -0.5 * a[1:-1]
-        rhs = z / delta + 0.5 * flux_z - 0.5 * phi * z + src
-        z_new = tridiagonal_solve(lower, diag, upper, rhs)
-        consumed += delta * float(np.sum(phi * 0.5 * (z + z_new))) * dx
+        rhs = z / delta + 0.5 * flux_z - half_phi * z + src
+        z_new = tridiagonal_solve(off, diag, off, rhs)
+        consumed += delta * float((half_phi * (z + z_new)).sum()) * dx
         z = z_new
     return z, consumed
 
 
 def species_step(state, grid, params, dt, sources=None, t_start=None):
     """Advance z by dt with v, theta frozen; preserves 0 <= z <= max(z)."""
+    _check_quadrant(state.v, state.theta)
     z_new, _ = _species_update(state, grid, params, dt, sources=sources, t_start=t_start)
     return State(state.t, state.v.copy(), state.theta.copy(), z_new, state.u.copy())
 
 
 def _check_state_bounds(state, controls, forced):
-    if np.min(state.v) <= controls.floor_v:
+    # written so that a NaN fails each test and rejects the step
+    if not state.v.min() > controls.floor_v:
         raise PositivityError("specific volume fell below floor")
-    if np.min(state.theta) <= controls.floor_theta:
+    if not state.theta.min() > controls.floor_theta:
         raise PositivityError("temperature fell below floor")
     if state.u[0] != 0.0 or state.u[-1] != 0.0:
         raise PositivityError("boundary nodes moved")
     if not forced:
-        if np.min(state.z) < -Z_BOUND_TOL or np.max(state.z) > 1.0 + Z_BOUND_TOL:
+        if not (state.z.min() >= -Z_BOUND_TOL and state.z.max() <= 1.0 + Z_BOUND_TOL):
             raise PositivityError("reactant fraction left [0, 1]")
 
 
@@ -385,9 +417,12 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
     On PositivityError or ConvergenceError the attempt is discarded and
     retried from the original state at half the timestep, up to
     max_step_rejections times, after which BlowUpError reports the suspected
-    loss of the a priori bounds.
+    loss of the a priori bounds.  A NaN or inf in the input state raises
+    BlowUpError before any attempt, naming the field.
     """
     controls = controls or StepControls()
+    _check_finite(state)
+    _check_quadrant(state.v, state.theta)
     dt_try = dt
     rejected = 0
     while True:

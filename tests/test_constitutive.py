@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radgas import constitutive
 from radgas.constitutive import (
     GasParameters,
     conduction_potential,
@@ -143,6 +144,28 @@ def test_domain_errors_on_nonpositive_inputs():
         reaction_rate(gp, 0.0)
     with pytest.raises(ValueError):
         constitutive_partials(gp, 0.0, 1.0)
+
+
+def test_kernels_equal_public_functions():
+    """The integrator's unguarded kernels give the public functions' bits."""
+    gp = params(R=0.7, Cv=1.4, a=0.8, kappa1=0.6, kappa2=1.3, b=1.8, K_react=2.0, A=1.5,
+                beta=9.8)
+    rng = np.random.default_rng(23)
+    v, t0, t1 = rng.uniform(0.05, 20.0, size=(3, 1000))
+    cu = t1**3
+    p_v, p_theta, _, e_theta = constitutive_partials(gp, v, t1)
+    pairs = (
+        (constitutive._pressure(gp, v, t1), pressure(gp, v, t1)),
+        (constitutive._conductivity(gp, v, t1), conductivity(gp, v, t1)),
+        (constitutive._reaction_rate(gp, t1), reaction_rate(gp, t1)),
+        (constitutive._p_v(gp, v, t1), p_v),
+        (constitutive._p_theta(gp, v, cu), p_theta),
+        (constitutive._e_theta(gp, v, cu), e_theta),
+        (constitutive._energy_theta_chord(gp, v, t0, t1, t0**2, t0**3, cu),
+         energy_theta_chord(gp, v, t0, t1)),
+    )
+    for kernel, public in pairs:
+        assert np.array_equal(kernel, public)
 
 
 def test_energy_chord_matches_secant_and_slope():

@@ -12,6 +12,7 @@ from radgas.errors import BlowUpError, ConfigError, ConvergenceError, Positivity
 from radgas.functionals import conserved_quantities
 from radgas.integrator import (
     StepControls,
+    _check_state_bounds,
     controls_for,
     heat_step,
     hydro_step,
@@ -237,6 +238,47 @@ def test_strang_blowup_after_repeated_rejection():
     controls = StepControls(floor_v=0.9, max_step_rejections=4)
     with pytest.raises(BlowUpError):
         strang_step(state, grid, PARAMS, 0.05, controls)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("field", ["v", "theta", "u", "z"])
+def test_non_finite_state_raises_blowup_naming_the_field(field):
+    """A NaN or inf in the input fails fast, before any timestep halving."""
+    spec = ScenarioSpec(amplitude_v=0.1, amplitude_u=0.1, amplitude_theta=0.2,
+                        amplitude_z=0.5, N=64)
+    grid = build_grid(spec.L, spec.N)
+    controls = controls_for(spec)
+    for bad in (np.nan, np.inf):
+        state = make_initial_data(spec, grid)
+        getattr(state, field)[10] = bad
+        with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
+            strang_step(state, grid, spec.params, 0.01, controls)
+        if field != "z":
+            with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
+                select_timestep(state, grid, spec.params, controls)
+
+
+@pytest.mark.parametrize("field", ["v", "theta", "z"])
+def test_nan_result_rejects_the_step(field):
+    grid = build_grid(10.0, 64)
+    state = gaussian_state(grid)
+    getattr(state, field)[10] = np.nan
+    with pytest.raises(PositivityError):
+        _check_state_bounds(state, StepControls(), forced=False)
+
+
+@pytest.mark.parametrize("field, value", [("v", 0.0), ("v", -1.0), ("theta", 0.0),
+                                          ("theta", -1.0)])
+def test_steps_reject_states_outside_the_quadrant(field, value):
+    grid = build_grid(10.0, 64)
+    state = gaussian_state(grid)
+    getattr(state, field)[10] = value
+    controls = StepControls()
+    for step in (hydro_step, heat_step, species_step, strang_step):
+        with pytest.raises(ValueError, match="must be strictly positive"):
+            step(state, grid, PARAMS, 0.01)
+    with pytest.raises(ValueError, match="must be strictly positive"):
+        select_timestep(state, grid, PARAMS, controls)
 
 
 def test_run_simulation_equilibrium_returns_initial():

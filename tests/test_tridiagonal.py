@@ -63,6 +63,22 @@ def test_lapack_agrees_with_thomas_at_n_511():
         assert np.array_equal(before, after)
 
 
+def test_single_row_system():
+    for solve in SOLVERS:
+        assert np.array_equal(solve([], [4.0], [], [2.0]), [0.5]), solve.__name__
+        with pytest.raises(SingularMatrixError):
+            solve([], [0.0], [], [1.0])
+
+
+def test_solution_owns_its_memory():
+    rng = np.random.default_rng(7)
+    system = _random_dominant_system(rng, 64)
+    for solve in SOLVERS:
+        x = solve(*system)
+        assert x.base is None and x.shape == (64,), solve.__name__
+        assert not any(np.shares_memory(x, a) for a in system), solve.__name__
+
+
 def test_singular_pivot_raises():
     for solve in SOLVERS:
         with pytest.raises(SingularMatrixError):
