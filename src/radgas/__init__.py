@@ -16,7 +16,6 @@ from .domain import (
     State,
     build_grid,
     make_initial_data,
-    scenario_catalog,
     validate_initial_data,
     validate_parameters,
 )

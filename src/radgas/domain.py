@@ -7,7 +7,7 @@ N+1 mesh nodes; volume, temperature, and reactant fraction live on the N
 cell centers.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "make_initial_data",
     "validate_parameters",
     "validate_initial_data",
-    "scenario_catalog",
     "boundary_band_cells",
     "boundary_deviation",
     "controls_for",
@@ -324,30 +323,3 @@ def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
         passed=not failures,
         failures=tuple(failures),
     )
-
-
-def scenario_catalog() -> dict:
-    """Named scenarios used by the command line and the test suite."""
-    params = GasParameters()
-    canonical = ScenarioSpec(
-        family="gaussian",
-        amplitude_v=0.1,
-        amplitude_u=0.1,
-        amplitude_theta=0.2,
-        amplitude_z=0.5,
-        width=1.0,
-        params=params,
-        L=20.0,
-        N=512,
-        T_end=20.0,
-        cfl=0.5,
-    )
-    return {
-        "canonical": canonical,
-        "equilibrium": replace(canonical, family="equilibrium", amplitude_v=0.0,
-                               amplitude_u=0.0, amplitude_theta=0.0, amplitude_z=0.0, T_end=1.0),
-        "species_pulse": replace(canonical, amplitude_v=0.0, amplitude_u=0.0,
-                                 amplitude_theta=0.0, amplitude_z=0.5, T_end=5.0),
-        "compact": replace(canonical, family="compact_bump", T_end=10.0),
-        "sweep_base": replace(canonical, N=256, T_end=10.0),
-    }

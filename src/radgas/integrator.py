@@ -195,15 +195,17 @@ def select_timestep(state: State, grid: Grid, params: GasParameters, controls: S
     """
     v, theta = state.v, state.theta
     _check_quadrant(v, theta)
-    theta_cu = theta**3
-    p_v = _p_v(params, v, theta)
-    p_theta = _p_theta(params, v, theta_cu)
-    e_theta = _e_theta(params, v, theta_cu)
-    gamma2 = np.maximum(-p_v + p_theta**2 * theta / e_theta, 0.0)
-    c = v * np.sqrt(gamma2 / v)
-    abs_u = np.abs(state.u)
-    u_cell = np.maximum(abs_u[:-1], abs_u[1:])
-    speed = float((u_cell + c).max())
+    # a non-finite input is reported below as BlowUpError, not as a numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        theta_cu = theta**3
+        p_v = _p_v(params, v, theta)
+        p_theta = _p_theta(params, v, theta_cu)
+        e_theta = _e_theta(params, v, theta_cu)
+        gamma2 = np.maximum(-p_v + p_theta**2 * theta / e_theta, 0.0)
+        c = v * np.sqrt(gamma2 / v)
+        abs_u = np.abs(state.u)
+        u_cell = np.maximum(abs_u[:-1], abs_u[1:])
+        speed = float((u_cell + c).max())
     if not math.isfinite(speed):
         _check_finite(state, ("v", "theta", "u"))
         raise BlowUpError(f"acoustic signal speed overflowed at t = {state.t:.6g}")
@@ -392,7 +394,11 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
 
 
 def species_step(state, grid, params, dt, sources=None, t_start=None):
-    """Advance z by dt with v, theta frozen; preserves 0 <= z <= max(z)."""
+    """Advance z by dt with v, theta frozen; preserves 0 <= z <= max(z).
+
+    A NaN or inf in the state raises BlowUpError naming the field.
+    """
+    _check_finite(state)
     _check_quadrant(state.v, state.theta)
     z_new, _ = _species_update(state, grid, params, dt, sources=sources, t_start=t_start)
     return State(state.t, state.v.copy(), state.theta.copy(), z_new, state.u.copy())

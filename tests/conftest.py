@@ -1,21 +1,19 @@
 """Shared fixtures; the expensive canonical-scenario runs are session scoped."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from radgas.domain import scenario_catalog
-from radgas.integrator import controls_for, run_simulation
+from radgas.cli import load_run_config
+from radgas.integrator import run_simulation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="session")
-def catalog():
-    return scenario_catalog()
-
-
-@pytest.fixture(scope="session")
-def canonical_spec(catalog):
-    return catalog["canonical"]
+def canonical_spec():
+    return load_run_config(CONFIGS / "canonical.cfg").scenario
 
 
 @pytest.fixture(scope="session")
@@ -25,18 +23,6 @@ def canonical_run(canonical_spec):
 
 
 @pytest.fixture(scope="session")
-def energy_drift_runs(canonical_spec):
-    """Canonical runs at globally capped timesteps dt, dt/2, dt/4."""
-    out = {}
-    for cap in (0.02, 0.01, 0.005):
-        controls = controls_for(canonical_spec, dt_max=cap)
-        out[cap] = run_simulation(
-            canonical_spec, sample_cadence=canonical_spec.T_end, controls=controls
-        )
-    return out
-
-
-@pytest.fixture(scope="session")
-def small_gaussian_spec(catalog):
+def small_gaussian_spec(canonical_spec):
     """Desk-scale variant whose waves never reach the boundary."""
-    return replace(catalog["canonical"], L=10.0, N=128, T_end=1.0)
+    return replace(canonical_spec, L=10.0, N=128, T_end=1.0)

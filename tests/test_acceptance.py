@@ -1,30 +1,22 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-The canonical scenario throughout: unit constants with b = 3, beta = 2,
-A = 1; Gaussian data with amplitudes (0.1, 0.1, 0.2, 0.5), width 1, on
-L = 20 with N = 512 cells, integrated to T_end = 20 at cfl = 0.5.
+The canonical scenario throughout is ``configs/canonical.cfg``: unit
+constants with b = 3, beta = 2, A = 1; Gaussian data with amplitudes
+(0.1, 0.1, 0.2, 0.5), width 1, on L = 20 with N = 512 cells, integrated to
+T_end = 20 at cfl = 0.5.  Every criterion that ``radgas verify`` also checks
+calls the same check or helper from ``radgas.verify_suite``.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from conftest import CONFIGS
 
+from radgas import verify_suite as vs
 from radgas.cli import EXIT_OK, EXIT_VERIFY, main
-from radgas.domain import build_grid, make_initial_data
-from radgas.functionals import (
-    oscillation_ratio,
-    representation_check,
-    temperature_envelope_check,
-    theta_bound_from_Y,
-)
-from radgas.integrator import controls_for, select_timestep, strang_step
-from radgas.verification import (
-    convergence_study,
-    gaussian_manufactured_solution,
-    oracle_compare,
-    temporal_convergence_study,
-)
+from radgas.functionals import oscillation_ratio
+from radgas.verification import oracle_compare
 
 # frozen fine-grid regression values: canonical scenario, N=256 vs N=1024,
 # T=5, max-norm discrepancy per field (recorded from a converged build)
@@ -37,22 +29,8 @@ def _criterion(num, name, ok, detail):
 
 
 def test_c01_equilibrium_fixed_point(canonical_spec):
-    spec = replace(canonical_spec, family="equilibrium", amplitude_v=0.0,
-                   amplitude_u=0.0, amplitude_theta=0.0, amplitude_z=0.0)
-    grid = build_grid(spec.L, spec.N)
-    controls = controls_for(spec)
-    state = make_initial_data(spec, grid)
-    for _ in range(1000):
-        dt = select_timestep(state, grid, spec.params, controls)
-        state = strang_step(state, grid, spec.params, dt, controls).new_state
-    drift = max(
-        float(np.max(np.abs(state.v - 1.0))),
-        float(np.max(np.abs(state.theta - 1.0))),
-        float(np.max(np.abs(state.z))),
-        float(np.max(np.abs(state.u))),
-    )
-    _criterion(1, "equilibrium fixed point over 1000 steps", drift <= 1e-12,
-               f"max field change {drift:.3e} (tol 1e-12)")
+    _criterion(1, "equilibrium fixed point over 1000 steps",
+               *vs._check_equilibrium_fixed_point(canonical_spec, 1000))
 
 
 def test_c02_mass_conservation(canonical_run):
@@ -102,43 +80,24 @@ def test_c02_species_balance_identity(canonical_run):
 
 
 def test_c03_species_confinement(canonical_run):
-    z_min = min(float(np.min(s.z)) for s in canonical_run.states)
-    z_max = max(float(np.max(s.z)) for s in canonical_run.states)
-    max_z = canonical_run.column("max_z")
-    monotone = bool(np.all(np.diff(max_z) <= 1e-12))
-    ok = z_min >= -1e-12 and z_max <= 1.0 + 1e-12 and monotone
+    z_min, z_max, max_z_rise, _ = vs._confinement(canonical_run)
+    monotone = max_z_rise <= vs.Z_SLACK
+    ok = z_min >= -vs.Z_SLACK and z_max <= 1.0 + vs.Z_SLACK and monotone
     _criterion(3, "species confinement and monotone maximum", ok,
                f"z range [{z_min:.2e}, {z_max:.6f}], max_z nonincreasing {monotone}")
 
 
-def test_c04_energy_drift_second_order(energy_drift_runs):
-    drifts = []
-    for cap in (0.02, 0.01, 0.005):
-        E = energy_drift_runs[cap].column("total_energy")
-        drifts.append(abs(float(E[-1] - E[0])))
-    r1 = drifts[0] / drifts[1]
-    r2 = drifts[1] / drifts[2]
-    ok = r1 >= 3.5 and r2 >= 3.5
-    _criterion(4, "energy drift shrinks at second order", ok,
-               f"drifts {drifts[0]:.2e}/{drifts[1]:.2e}/{drifts[2]:.2e}, "
-               f"halving factors {r1:.2f}, {r2:.2f} (need >= 3.5)")
+def test_c04_energy_drift_second_order(canonical_spec):
+    _criterion(4, "energy drift shrinks at second order",
+               *vs._check_energy_drift_convergence(canonical_spec, (0.02, 0.01, 0.005)))
 
 
 def test_c05_uniform_bounds_plateau(canonical_run):
-    t = canonical_run.sample_times
-    T = canonical_run.spec.T_end
-    details = []
-    ok = True
-    for col, agg in (("min_v", np.min), ("max_v", np.max),
-                     ("min_theta", np.min), ("max_theta", np.max)):
-        series = canonical_run.column(col)
-        w1 = float(agg(series[(t >= T / 4) & (t <= T / 2)]))
-        w2 = float(agg(series[t >= T / 2]))
-        rel = abs(w2 - w1) / abs(w1)
-        ok = ok and rel < 0.05
-        details.append(f"{col} {rel:.2%}")
+    drifts = vs._plateau_drifts(canonical_run)
+    ok = all(rel < vs.PLATEAU_TOL for rel in drifts.values())
     _criterion(5, "extrema plateau between run halves", ok,
-               ", ".join(details) + " (tol 5%)")
+               ", ".join(f"{col} {rel:.2%}" for col, rel in drifts.items())
+               + f" (tol {vs.PLATEAU_TOL:.0%})")
 
 
 def test_c06_decay_toward_equilibrium(canonical_run):
@@ -149,38 +108,26 @@ def test_c06_decay_toward_equilibrium(canonical_run):
         frac = float(series[-1] / np.max(series))
         ok = ok and frac < 0.5
         checks.append(f"{key} final/max {frac:.1%}")
-    z_l1 = canonical_run.column("z_L1")
-    strictly_down = bool(np.all(np.diff(z_l1) < 0))
+    strictly_down = vs._confinement(canonical_run)[3]
     ok = ok and strictly_down
     checks.append(f"z_L1 strictly decreasing {strictly_down}")
     _criterion(6, "decay toward the rest state", ok, ", ".join(checks))
 
 
 def test_c07_functional_boundedness(canonical_run):
-    t = canonical_run.sample_times
-    half = int(np.searchsorted(t, canonical_run.spec.T_end / 2))
-    XY = canonical_run.column("X_acc") + canonical_run.column("Y_run")
-    growth = float((XY[-1] - XY[half]) / XY[half])
-    ratio = canonical_run.column("max_theta") / np.array(
-        [theta_bound_from_Y(canonical_run.spec.params, y) for y in canonical_run.column("Y_run")]
-    )
-    run_max = np.maximum.accumulate(ratio)
-    ratio_growth = float((run_max[-1] - run_max[half]) / run_max[half])
-    ok = growth < 0.10 and ratio_growth < 0.10
+    growth, ratio_growth = vs._functional_growth(canonical_run)
+    ok = growth < vs.GROWTH_TOL and ratio_growth < vs.GROWTH_TOL
     _criterion(7, "X + Y and the temperature-bound ratio plateau", ok,
-               f"X+Y second-half growth {growth:.2%}, ratio growth {ratio_growth:.2%} (tol 10%)")
+               f"X+Y second-half growth {growth:.2%}, ratio growth {ratio_growth:.2%} "
+               f"(tol {vs.GROWTH_TOL:.0%})")
 
 
 def test_c08_volume_representation(canonical_run):
-    spec = canonical_run.spec
-    fine = representation_check(canonical_run.states, canonical_run.grid, spec.params,
-                                2, spec.T_end)
-    coarse = representation_check(canonical_run.states[::2], canonical_run.grid,
-                                  spec.params, 2, spec.T_end)
-    ok = fine.max_rel_error < 0.01 and fine.max_rel_error <= 0.5 * coarse.max_rel_error
+    fine, coarse = vs._representation(canonical_run)
+    ok = fine < vs.REPRESENTATION_TOL and fine <= vs.REPRESENTATION_HALVING * coarse
     _criterion(8, "volume representation on the k=2 window", ok,
-               f"error {fine.max_rel_error:.2e} (tol 1e-2), halving check "
-               f"{fine.max_rel_error:.2e} <= 0.5 * {coarse.max_rel_error:.2e}")
+               f"error {fine:.2e} (tol {vs.REPRESENTATION_TOL:g}), halving check "
+               f"{fine:.2e} <= {vs.REPRESENTATION_HALVING} * {coarse:.2e}")
 
 
 def test_c09_oscillation_bound_shadow(canonical_run):
@@ -198,50 +145,33 @@ def test_c09_oscillation_bound_shadow(canonical_run):
 
 
 def test_c10_temperature_lower_envelope(canonical_run):
-    env = temperature_envelope_check(canonical_run.states)
-    env_coarse = temperature_envelope_check(canonical_run.states[::2])
-    stable = abs(env - env_coarse) / env <= 0.10
-    ok = env > 0.1 and stable
+    env, env_coarse = vs._envelope(canonical_run)
+    ok = env > vs.ENVELOPE_MIN and abs(env - env_coarse) / env <= vs.CADENCE_TOL
     _criterion(10, "temperature lower envelope certified", ok,
-               f"constant {env:.4f} (need > 0.1), cadence-doubled value {env_coarse:.4f}")
+               f"constant {env:.4f} (need > {vs.ENVELOPE_MIN}), "
+               f"cadence-doubled value {env_coarse:.4f}")
 
 
 def test_c11_manufactured_solution_orders(canonical_spec):
-    params = canonical_spec.params
-    ms = gaussian_manufactured_solution()
-    spatial = convergence_study(ms, params, [64, 128, 256], T=0.5)
-    temporal = temporal_convergence_study(ms, params, N=256,
-                                          dts=[0.006, 0.003, 0.0015], T=0.3)
-    s_orders = {f: spatial.orders[f][-1] for f in spatial.orders}
-    t_orders = {f: min(temporal.orders[f]) for f in temporal.orders}
-    ok = all(1.8 <= o <= 2.2 for o in s_orders.values()) and all(
-        o >= 1.8 for o in t_orders.values()
-    )
-    detail = ("spatial " + ", ".join(f"{f}={o:.2f}" for f, o in s_orders.items())
-              + "; temporal " + ", ".join(f"{f}={o:.2f}" for f, o in t_orders.items()))
-    _criterion(11, "manufactured-solution convergence orders", ok, detail)
+    spatial_ok, spatial = vs._check_mms_spatial(canonical_spec.params)
+    temporal_ok, temporal = vs._check_mms_temporal(canonical_spec.params)
+    _criterion(11, "manufactured-solution convergence orders", spatial_ok and temporal_ok,
+               f"{spatial}; {temporal}")
 
 
 def test_c12_oracle_consistency(canonical_spec):
-    small = replace(canonical_spec, L=10.0, T_end=2.0)
-    first = oracle_compare(small, 64, 256)
-    second = oracle_compare(small, 128, 512)
-    ratios = {f: first[f]["L2"] / second[f]["L2"] for f in first}
-    ok = all(r >= 3.0 for r in ratios.values())
-
-    frozen_spec = replace(canonical_spec, T_end=5.0)
-    frozen = oracle_compare(frozen_spec, 256, 1024)
+    ok, detail = vs._check_oracle_consistency(canonical_spec)
+    frozen = oracle_compare(replace(canonical_spec, T_end=5.0), 256, 1024)
     for f, expected in FROZEN_ORACLE_LINF.items():
         ok = ok and frozen[f]["Linf"] < 1e-3
         ok = ok and math.isclose(frozen[f]["Linf"], expected, rel_tol=0.02)
-    detail = ("pair shrink " + ", ".join(f"{f}={r:.2f}" for f, r in ratios.items())
-              + " (need >= 3); canonical 256v1024 Linf "
-              + ", ".join(f"{f}={frozen[f]['Linf']:.2e}" for f in frozen))
+    detail += "; canonical 256v1024 Linf " + ", ".join(
+        f"{f}={frozen[f]['Linf']:.2e}" for f in frozen)
     _criterion(12, "fine-grid oracle consistency", ok, detail)
 
 
 def test_c13_parameter_sweep(tmp_path):
-    code = main(["--output-dir", str(tmp_path / "sweep"), "sweep", "configs/sweep.cfg"])
+    code = main(["--output-dir", str(tmp_path / "sweep"), "sweep", str(CONFIGS / "sweep.cfg")])
     summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
     rows = [line.split(",") for line in summary[1:]]
     all_completed = all(r[3] == "completed" for r in rows if r[2] == "true")
@@ -269,7 +199,7 @@ def test_probe_window_values_stay_near_unity(canonical_run):
 
 
 def test_verify_command_passes_on_shipped_config(tmp_path):
-    code = main(["--output-dir", str(tmp_path / "verify"), "verify", "configs/verify.cfg"])
+    code = main(["--output-dir", str(tmp_path / "verify"), "verify", str(CONFIGS / "verify.cfg")])
     report = (tmp_path / "verify" / "verify_report.txt").read_text()
     assert "[FAIL]" not in report, report
     assert code == EXIT_OK
@@ -278,7 +208,7 @@ def test_verify_command_passes_on_shipped_config(tmp_path):
 def test_verify_command_catches_loose_picard_tolerance(tmp_path):
     """An absurdly loose implicit tolerance degrades the composed step to
     first order, which the energy-drift check flags."""
-    text = open("configs/verify.cfg").read()
+    text = (CONFIGS / "verify.cfg").read_text()
     text = text.replace("picard_tol = 1e-10", "picard_tol = 1")
     text = text.replace("T_end = 20.0", "T_end = 5.0")
     cfg = tmp_path / "loose.cfg"

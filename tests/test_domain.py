@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CONFIGS
 
+from radgas.cli import load_run_config
 from radgas.constitutive import GasParameters
 from radgas.domain import (
     ScenarioSpec,
     build_grid,
     make_initial_data,
-    scenario_catalog,
     validate_initial_data,
     validate_parameters,
 )
@@ -145,11 +146,12 @@ def test_validate_initial_data_flags_far_field_violation():
     assert not report.passed
 
 
-def test_catalog_scenarios_all_validate():
-    for name, s in scenario_catalog().items():
-        grid = build_grid(s.L, s.N)
-        report = validate_initial_data(make_initial_data(s, grid), grid)
-        assert report.passed, f"catalog scenario {name} failed: {report.failures}"
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_initial_data_validates(path):
+    s = load_run_config(path).scenario
+    grid = build_grid(s.L, s.N)
+    report = validate_initial_data(make_initial_data(s, grid), grid)
+    assert report.passed, f"{path.name} initial data failed: {report.failures}"
 
 
 def test_far_field_clean_for_wide_domains():

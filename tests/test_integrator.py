@@ -240,7 +240,7 @@ def test_strang_blowup_after_repeated_rejection():
         strang_step(state, grid, PARAMS, 0.05, controls)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["v", "theta", "u", "z"])
 def test_non_finite_state_raises_blowup_naming_the_field(field):
     """A NaN or inf in the input fails fast, before any timestep halving."""
@@ -253,6 +253,8 @@ def test_non_finite_state_raises_blowup_naming_the_field(field):
         getattr(state, field)[10] = bad
         with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
             strang_step(state, grid, spec.params, 0.01, controls)
+        with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
+            species_step(state, grid, spec.params, 0.01)
         if field != "z":
             with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
                 select_timestep(state, grid, spec.params, controls)
