@@ -420,11 +420,11 @@ def _check_state_bounds(state, controls, forced):
 def strang_step(state, grid, params, dt, controls=None, sources=None):
     """One composed step with rejection control; returns a StepOutcome.
 
-    On PositivityError or ConvergenceError the attempt is discarded and
-    retried from the original state at half the timestep, up to
-    max_step_rejections times, after which BlowUpError reports the suspected
-    loss of the a priori bounds.  A NaN or inf in the input state raises
-    BlowUpError before any attempt, naming the field.
+    On PositivityError, ConvergenceError or SingularMatrixError the attempt
+    is discarded and retried from the original state at half the timestep,
+    up to max_step_rejections times, after which BlowUpError reports the
+    suspected loss of the a priori bounds.  A NaN or inf in the input state
+    raises BlowUpError before any attempt, naming the field.
     """
     controls = controls or StepControls()
     _check_finite(state)
@@ -468,7 +468,7 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
                 rejected_count=rejected,
                 species_consumed=consumed,
             )
-        except (PositivityError, ConvergenceError) as exc:
+        except (PositivityError, ConvergenceError, SingularMatrixError) as exc:
             rejected += 1
             dt_try *= 0.5
             if rejected > controls.max_step_rejections or dt_try < controls.dt_min:

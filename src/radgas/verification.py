@@ -7,6 +7,7 @@ discretization error only.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,6 +134,51 @@ def equilibrium_manufactured_solution() -> ManufacturedSolution:
     )
 
 
+def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
+    """(S_v, S_u, S_e, S_z, e_v): manufactured_source's residuals and the e_v they used."""
+    x = np.asarray(x, dtype=float)
+    v = ms.v(t, x)
+    v_t = ms.v_t(t, x)
+    v_x = ms.v_x(t, x)
+    u_x = ms.u_x(t, x)
+    th = ms.theta(t, x)
+    th_x = ms.theta_x(t, x)
+    z = ms.z(t, x)
+
+    p_v, p_theta, e_v, e_theta = constitutive_partials(params, v, th)
+    S_v = v_t - u_x
+    S_u = (
+        ms.u_t(t, x)
+        + p_v * v_x
+        + p_theta * th_x
+        - params.mu * (ms.u_xx(t, x) / v - u_x * v_x / v**2)
+    )
+    kappa = conductivity(params, v, th)
+    kappa_v = params.kappa2 * th**params.b
+    kappa_th = params.kappa2 * params.b * v * th ** (params.b - 1.0)
+    flux_div = (
+        (kappa_v * v_x + kappa_th * th_x) * th_x / v
+        + kappa * ms.theta_xx(t, x) / v
+        - kappa * th_x * v_x / v**2
+    )
+    phi = reaction_rate(params, th)
+    p = pressure(params, v, th)
+    S_e = (
+        e_theta * ms.theta_t(t, x)
+        + e_v * v_t
+        + p * u_x
+        - params.mu * u_x**2 / v
+        - flux_div
+        - params.lam * phi * z
+    )
+    S_z = (
+        ms.z_t(t, x)
+        - params.d * (ms.z_xx(t, x) / v**2 - 2.0 * ms.z_x(t, x) * v_x / v**3)
+        + phi * z
+    )
+    return S_v, S_u, S_e, S_z, e_v
+
+
 def manufactured_source(ms: ManufacturedSolution, params: GasParameters, t, x):
     """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x).
 
@@ -141,45 +187,15 @@ def manufactured_source(ms: ManufacturedSolution, params: GasParameters, t, x):
     energy equation; the split integrator's temperature substep consumes the
     temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
     """
-    x = np.asarray(x, dtype=float)
-    v = ms.v(t, x)
-    u_x = ms.u_x(t, x)
-    th = ms.theta(t, x)
-    th_x = ms.theta_x(t, x)
-    z = ms.z(t, x)
+    return _residuals(ms, params, t, x)[:4]
 
-    p_v, p_theta, e_v, e_theta = constitutive_partials(params, v, th)
-    S_v = ms.v_t(t, x) - u_x
-    S_u = (
-        ms.u_t(t, x)
-        + p_v * ms.v_x(t, x)
-        + p_theta * th_x
-        - params.mu * (ms.u_xx(t, x) / v - u_x * ms.v_x(t, x) / v**2)
-    )
-    kappa = conductivity(params, v, th)
-    kappa_v = params.kappa2 * th**params.b
-    kappa_th = params.kappa2 * params.b * v * th ** (params.b - 1.0)
-    flux_div = (
-        (kappa_v * ms.v_x(t, x) + kappa_th * th_x) * th_x / v
-        + kappa * ms.theta_xx(t, x) / v
-        - kappa * th_x * ms.v_x(t, x) / v**2
-    )
-    phi = reaction_rate(params, th)
-    p = pressure(params, v, th)
-    S_e = (
-        e_theta * ms.theta_t(t, x)
-        + e_v * ms.v_t(t, x)
-        + p * u_x
-        - params.mu * u_x**2 / v
-        - flux_div
-        - params.lam * phi * z
-    )
-    S_z = (
-        ms.z_t(t, x)
-        - params.d * (ms.z_xx(t, x) / v**2 - 2.0 * ms.z_x(t, x) * ms.v_x(t, x) / v**3)
-        + phi * z
-    )
-    return S_v, S_u, S_e, S_z
+
+# Evaluations a ManufacturedSources keeps.  A repeat comes a few evaluations
+# after the first: each species subcycle asks again for the time the one
+# before it ended at, and each heat substep for the two ends of a species
+# window.  Eight catch every repeat of the verify MMS studies, and a bounded
+# store keeps memory flat over a long study.
+_STORE_SIZE = 8
 
 
 class ManufacturedSources:
@@ -188,27 +204,44 @@ class ManufacturedSources:
     The temperature substep evolves theta at frozen v, so it needs the
     temperature-form residual S_e - e_v*S_v; the two coincide whenever the
     manufactured volume satisfies its own equation exactly.
+
+    The four residuals are evaluated together, once per (t, point set), and
+    the last few evaluations are kept, so the four callables and repeated
+    times share one evaluation.  A point set matches by value, not by
+    identity: the integrator passes a fresh view of the nodes on every call.
+    The returned arrays are shared between calls and therefore read-only.
     """
 
     def __init__(self, ms: ManufacturedSolution, params: GasParameters):
         self._ms = ms
         self._params = params
+        self._store = deque(maxlen=_STORE_SIZE)
+
+    def _evaluate(self, t, x):
+        """(S_v, S_u, S_theta, S_z) at (t, x), from the store when it holds them."""
+        x = np.asarray(x, dtype=float)
+        for entry_t, entry_x, sources in self._store:
+            if entry_t == t and np.array_equal(entry_x, x):
+                return sources
+        S_v, S_u, S_e, S_z, e_v = _residuals(self._ms, self._params, t, x)
+        sources = tuple(np.asarray(s) for s in (S_v, S_u, S_e - e_v * S_v, S_z))
+        for s in sources:
+            s.flags.writeable = False
+        # a private copy, so changing the caller's array later cannot give a stale hit
+        self._store.appendleft((t, x.copy(), sources))
+        return sources
 
     def Sv(self, t, x):
-        return manufactured_source(self._ms, self._params, t, x)[0]
+        return self._evaluate(t, x)[0]
 
     def Su(self, t, x):
-        return manufactured_source(self._ms, self._params, t, x)[1]
+        return self._evaluate(t, x)[1]
 
     def Stheta(self, t, x):
-        S_v, _, S_e, _ = manufactured_source(self._ms, self._params, t, x)
-        v = self._ms.v(t, np.asarray(x, dtype=float))
-        th = self._ms.theta(t, np.asarray(x, dtype=float))
-        e_v = constitutive_partials(self._params, v, th)[2]
-        return S_e - e_v * S_v
+        return self._evaluate(t, x)[2]
 
     def Sz(self, t, x):
-        return manufactured_source(self._ms, self._params, t, x)[3]
+        return self._evaluate(t, x)[3]
 
 
 def integrate_manufactured(

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import radgas.integrator
 from radgas.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -15,7 +16,7 @@ from radgas.cli import (
     run_command,
     sweep_command,
 )
-from radgas.errors import ConfigError
+from radgas.errors import ConfigError, SingularMatrixError
 
 SMALL_SCENARIO = """
 [scenario]
@@ -213,6 +214,22 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     fields = lines[1].split(",")
     assert fields[2] == "false"
     assert fields[3] == "blowup"
+
+
+def test_singular_solve_exits_3(tmp_path, monkeypatch):
+    """A singular tridiagonal system ends a run, or one sweep cell, as a blow-up."""
+    def singular(*args):
+        raise SingularMatrixError("zero pivot at row 3")
+
+    monkeypatch.setattr(radgas.integrator, "tridiagonal_solve", singular)
+    text = SMALL_SCENARIO.format(out=tmp_path / "run")
+    assert run_command(write_config(tmp_path, text)) == EXIT_BLOWUP
+    assert "zero pivot at row 3" in (tmp_path / "run" / "report.txt").read_text()
+    text = SMALL_SCENARIO.format(out=tmp_path / "sweep") + SWEEP_TAIL.format(
+        bvals="3", betavals="2", workers="1")
+    assert sweep_command(write_config(tmp_path, text, "sweep.cfg")) == EXIT_BLOWUP
+    lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert lines[1].split(",")[3] == "blowup"
 
 
 def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):

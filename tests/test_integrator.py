@@ -8,7 +8,14 @@ import pytest
 
 from radgas.constitutive import GasParameters, internal_energy, reaction_rate
 from radgas.domain import ScenarioSpec, State, build_grid, make_initial_data
-from radgas.errors import BlowUpError, ConfigError, ConvergenceError, PositivityError
+import radgas.integrator as integrator
+from radgas.errors import (
+    BlowUpError,
+    ConfigError,
+    ConvergenceError,
+    PositivityError,
+    SingularMatrixError,
+)
 from radgas.functionals import conserved_quantities
 from radgas.integrator import (
     StepControls,
@@ -238,6 +245,35 @@ def test_strang_blowup_after_repeated_rejection():
     controls = StepControls(floor_v=0.9, max_step_rejections=4)
     with pytest.raises(BlowUpError):
         strang_step(state, grid, PARAMS, 0.05, controls)
+
+
+def test_singular_solve_rejects_the_step(monkeypatch):
+    """One singular tridiagonal system discards the attempt and halves dt."""
+    grid = build_grid(10.0, 64)
+    state = gaussian_state(grid)
+    solve = integrator.tridiagonal_solve
+    failures = [SingularMatrixError("zero pivot at row 3")]
+
+    def fails_once(*args):
+        if failures:
+            raise failures.pop()
+        return solve(*args)
+
+    monkeypatch.setattr(integrator, "tridiagonal_solve", fails_once)
+    out = strang_step(state, grid, PARAMS, 0.01)
+    assert out.rejected_count == 1
+    assert out.dt_used == 0.005
+
+
+def test_singular_solve_every_time_blows_up(monkeypatch):
+    def singular(*args):
+        raise SingularMatrixError("zero pivot at row 3")
+
+    monkeypatch.setattr(integrator, "tridiagonal_solve", singular)
+    grid = build_grid(10.0, 64)
+    controls = StepControls(max_step_rejections=4)
+    with pytest.raises(BlowUpError, match="after 5 rejections .*zero pivot at row 3"):
+        strang_step(gaussian_state(grid), grid, PARAMS, 0.01, controls)
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import radgas.constitutive as constitutive
+import radgas.verification as verification
 from radgas.constitutive import GasParameters
 from radgas.domain import ScenarioSpec, build_grid
 from radgas.errors import ConfigError
@@ -16,6 +17,7 @@ from radgas.verification import (
     convergence_study,
     equilibrium_manufactured_solution,
     gaussian_manufactured_solution,
+    integrate_manufactured,
     manufactured_source,
     oracle_compare,
     temporal_convergence_study,
@@ -99,7 +101,65 @@ def test_temperature_substep_source_accounts_for_volume_residual():
     t = 0.4
     S_v, _, S_e, _ = manufactured_source(ms, PARAMS, t, x)
     e_v = constitutive.constitutive_partials(PARAMS, ms.v(t, x), ms.theta(t, x))[2]
-    assert np.allclose(sources.Stheta(t, x), S_e - e_v * S_v, rtol=1e-14)
+    assert np.array_equal(sources.Stheta(t, x), S_e - e_v * S_v)
+
+
+class PerComponentSources:
+    """Each source callable evaluates manufactured_source on its own; nothing is shared."""
+
+    def __init__(self, ms, params):
+        self.ms, self.params = ms, params
+
+    def Sv(self, t, x):
+        return manufactured_source(self.ms, self.params, t, x)[0]
+
+    def Su(self, t, x):
+        return manufactured_source(self.ms, self.params, t, x)[1]
+
+    def Stheta(self, t, x):
+        S_v, _, S_e, _ = manufactured_source(self.ms, self.params, t, x)
+        e_v = constitutive.constitutive_partials(self.params, self.ms.v(t, x), self.ms.theta(t, x))[2]
+        return S_e - e_v * S_v
+
+    def Sz(self, t, x):
+        return manufactured_source(self.ms, self.params, t, x)[3]
+
+
+def test_shared_sources_match_per_component_evaluation():
+    """Interleaved and repeated times on three point sets, more keys than the
+    adapter keeps: the nodes come as a fresh view on every call, and shifted
+    centres have the length of the centres but other values."""
+    ms = gaussian_manufactured_solution()
+    grid = build_grid(8.0, 64)
+    sources = ManufacturedSources(ms, PARAMS)
+    reference = PerComponentSources(ms, PARAMS)
+    shifted = grid.cell_centers + 0.5 * grid.dx
+    point_sets = (lambda: grid.cell_centers, lambda: grid.node_positions[1:-1], lambda: shifted)
+    for t in (0.1, 0.2, 0.1, 0.15, 0.2, 0.1, 0.3, 0.15):
+        for points in point_sets:
+            for name in ("Sv", "Su", "Stheta", "Sz"):
+                x = points()
+                assert np.array_equal(getattr(sources, name)(t, x), getattr(reference, name)(t, x))
+
+
+def test_shared_sources_are_read_only_and_follow_changed_points():
+    ms = gaussian_manufactured_solution()
+    sources = ManufacturedSources(ms, PARAMS)
+    x = np.array([-1.0, 0.3, 2.0])
+    with pytest.raises(ValueError):
+        sources.Sv(0.4, x)[0] = 0.0
+    x += 0.25
+    assert np.array_equal(sources.Sv(0.4, x), manufactured_source(ms, PARAMS, 0.4, x)[0])
+
+
+def test_integration_with_shared_sources_is_bit_identical(monkeypatch):
+    ms = gaussian_manufactured_solution()
+    shared = integrate_manufactured(ms, PARAMS, 8.0, 64, 0.2, 0.01)
+    monkeypatch.setattr(verification, "ManufacturedSources", PerComponentSources)
+    plain = integrate_manufactured(ms, PARAMS, 8.0, 64, 0.2, 0.01)
+    assert shared.t == plain.t
+    for f in FIELDS:
+        assert np.array_equal(getattr(shared, f), getattr(plain, f))
 
 
 def test_manufactured_fields_stay_physical():
