@@ -224,7 +224,7 @@ class ManufacturedSources:
             if entry_t == t and np.array_equal(entry_x, x):
                 return sources
         S_v, S_u, S_e, S_z, e_v = _residuals(self._ms, self._params, t, x)
-        sources = tuple(np.asarray(s) for s in (S_v, S_u, S_e - e_v * S_v, S_z))
+        sources = (S_v, S_u, S_e - e_v * S_v, S_z)
         for s in sources:
             s.flags.writeable = False
         # a private copy, so changing the caller's array later cannot give a stale hit
