@@ -10,6 +10,7 @@ written to a temporary name and renamed on completion.
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -19,10 +20,12 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .constitutive import GasParameters
-from .domain import ScenarioSpec, validate_parameters
+from .domain import ScenarioSpec, build_grid, validate_parameters
 from .errors import BlowUpError, ConfigError, WindowOutOfDomain
 from .functionals import (
     DiagnosticsRecord,
+    _window_cells,
+    interval_probe,
     representation_check,
     temperature_envelope_check,
     theta_bound_from_Y,
@@ -53,9 +56,12 @@ class RunConfig:
     def __post_init__(self):
         if not self.sample_cadence > 0:
             raise ConfigError("sample_cadence must be > 0")
+        grid = build_grid(self.scenario.L, self.scenario.N)
         for k in self.probes:
-            if k < 0:
-                raise ConfigError("probe window indices must be >= 0")
+            try:
+                _window_cells(grid, k)
+            except WindowOutOfDomain as exc:
+                raise ConfigError(f"probe {k}: {exc}") from exc
         if self.emit_snapshots:
             for t in self.snapshot_times:
                 if not t >= 0:
@@ -212,8 +218,6 @@ def _write_snapshot(path, result, t_request):
 
 
 def _report_text(config: RunConfig, result) -> str:
-    from .functionals import interval_probe
-
     spec = config.scenario
     blocks = [validate_parameters(spec.params).summary()]
     final = result.records[-1]
@@ -261,47 +265,59 @@ def _report_text(config: RunConfig, result) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def run_command(config_path, output_dir=None) -> int:
-    """Execute one simulation and write diagnostics.csv, snapshots, report.txt."""
-    try:
-        config = load_run_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = output_dir or config.output_dir
+def _exit_code(command):
+    """Turn each typed failure of ``command`` into one stderr line and its exit code.
+
+    Any other exception is a bug and keeps its traceback.
+    """
+    @functools.wraps(command)
+    def wrapper(config_path, output_dir=None) -> int:
+        try:
+            return command(config_path, output_dir)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except BlowUpError as exc:
+            print(f"blow-up: {exc}", file=sys.stderr)
+            return EXIT_BLOWUP
+    return wrapper
+
+
+def _write_abort_report(out_dir, exc):
+    """Best-effort report.txt for a run that blew up; a write failure is ignored."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _atomic_write(os.path.join(out_dir, "report.txt"), f"aborted: {exc}\n")
+    except OSError:
+        pass
+
+
+@_exit_code
+def run_command(config_path, output_dir=None) -> int:
+    """Execute one simulation and write diagnostics.csv, snapshots, report.txt."""
+    config = load_run_config(config_path)
+    out_dir = output_dir or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     try:
         result = run_simulation(
             config.scenario, sample_cadence=config.sample_cadence, keep_states=True
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        try:
-            _atomic_write(os.path.join(out_dir, "report.txt"), f"aborted: {exc}\n")
-        except OSError:
-            pass
-        return EXIT_BLOWUP
-    try:
-        _write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), result.records)
-        if config.emit_snapshots:
-            for t_req in config.snapshot_times:
-                name = f"snapshot_t{t_req:g}.dat"
-                if t_req > config.scenario.T_end:
-                    print(f"warning: snapshot time {t_req:g} is past T_end = "
-                          f"{config.scenario.T_end:g}; {name} holds the final state",
-                          file=sys.stderr)
-                _write_snapshot(os.path.join(out_dir, name), result, t_req)
-        _atomic_write(os.path.join(out_dir, "report.txt"), _report_text(config, result))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        _write_abort_report(out_dir, exc)
+        raise
+    _write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), result.records)
+    if config.emit_snapshots:
+        for t_req in config.snapshot_times:
+            name = f"snapshot_t{t_req:g}.dat"
+            if t_req > config.scenario.T_end:
+                print(f"warning: snapshot time {t_req:g} is past T_end = "
+                      f"{config.scenario.T_end:g}; {name} holds the final state",
+                      file=sys.stderr)
+            _write_snapshot(os.path.join(out_dir, name), result, t_req)
+    _atomic_write(os.path.join(out_dir, "report.txt"), _report_text(config, result))
     return EXIT_OK
 
 
@@ -327,12 +343,8 @@ def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):
     try:
         result = run_simulation(spec, sample_cadence=base.sample_cadence)
     except BlowUpError as exc:
-        row["status"] = f"blowup"
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            _atomic_write(os.path.join(out_dir, "report.txt"), f"aborted: {exc}\n")
-        except OSError:
-            pass
+        row["status"] = "blowup"
+        _write_abort_report(out_dir, exc)
         return row
     final = result.records[-1]
     row.update(
@@ -350,20 +362,13 @@ def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):
     return row
 
 
+@_exit_code
 def sweep_command(config_path, output_dir=None) -> int:
     """Run the (b, beta) grid and write sweep_summary.csv."""
-    try:
-        config = load_sweep_config(config_path)
-        workers = _worker_count(config.max_parallel)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_sweep_config(config_path)
+    workers = _worker_count(config.max_parallel)
     out_root = output_dir or config.base.output_dir
-    try:
-        os.makedirs(out_root, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(out_root, exist_ok=True)
 
     jobs = [
         (b, beta, os.path.join(out_root, f"cell_b{b:g}_beta{beta:g}"))
@@ -383,11 +388,7 @@ def sweep_command(config_path, output_dir=None) -> int:
             f"{r['final_Linf_dev']:.17g},{r['X_final']:.17g},{r['Y_final']:.17g},"
             f"{r['min_theta']:.17g},{r['max_theta']:.17g}"
         )
-    try:
-        _atomic_write(os.path.join(out_root, "sweep_summary.csv"), "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _atomic_write(os.path.join(out_root, "sweep_summary.csv"), "\n".join(lines) + "\n")
     failed_admissible = [r for r in rows if r["admissible"] and r["status"] != "completed"]
     if failed_admissible:
         for r in failed_admissible:
@@ -396,19 +397,12 @@ def sweep_command(config_path, output_dir=None) -> int:
     return EXIT_OK
 
 
+@_exit_code
 def verify_command(config_path, output_dir=None) -> int:
     """Run the verification suite and write verify_report.txt."""
-    try:
-        config = load_run_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_run_config(config_path)
     out_dir = output_dir or config.output_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(out_dir, exist_ok=True)
 
     from .verify_suite import run_verification
 
@@ -418,11 +412,7 @@ def verify_command(config_path, output_dir=None) -> int:
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     all_ok = all(ok for _, ok, _ in checks)
     lines.append(f"\n{'all checks passed' if all_ok else 'VERIFICATION FAILED'}")
-    try:
-        _atomic_write(os.path.join(out_dir, "verify_report.txt"), "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _atomic_write(os.path.join(out_dir, "verify_report.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK if all_ok else EXIT_VERIFY
 
@@ -432,8 +422,6 @@ def main(argv=None) -> int:
         prog="radgas",
         description="1D Lagrangian viscous radiative reactive gas simulator",
     )
-    parser.add_argument("--output-dir", default=None, dest="output_dir_pre",
-                        help="override the configured output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("run", "integrate one scenario and write diagnostics"),
@@ -445,9 +433,8 @@ def main(argv=None) -> int:
         p.add_argument("--output-dir", default=None,
                        help="override the configured output directory")
     args = parser.parse_args(argv)
-    out_dir = args.output_dir or args.output_dir_pre
     command = {"run": run_command, "sweep": sweep_command, "verify": verify_command}[args.command]
-    return command(args.config, output_dir=out_dir)
+    return command(args.config, output_dir=args.output_dir)
 
 
 if __name__ == "__main__":

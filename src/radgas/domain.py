@@ -62,7 +62,7 @@ class State:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Initial-data family plus domain, mesh, and solver configuration."""
+    """Initial-data family plus domain, mesh, and solver configuration, validated when built."""
 
     family: str = "gaussian"
     amplitude_v: float = 0.0
@@ -92,6 +92,10 @@ class ScenarioSpec:
         if self.T_end <= 0:
             raise ConfigError("T_end must be > 0")
         controls_for(self)  # StepControls owns the cfl, Picard and floor checks
+        grid = build_grid(self.L, self.N)  # and build_grid the L and N checks
+        report = validate_initial_data(make_initial_data(self, grid), grid)
+        if not report.passed:
+            raise ConfigError("initial data rejected: " + "; ".join(report.failures))
 
 
 @dataclass(frozen=True)

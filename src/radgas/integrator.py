@@ -44,7 +44,6 @@ from .domain import (
     build_grid,
     controls_for,
     make_initial_data,
-    validate_initial_data,
 )
 from .errors import (
     BlowUpError,
@@ -520,9 +519,6 @@ def run_simulation(
     grid = build_grid(spec.L, spec.N)
     params = spec.params
     state = make_initial_data(spec, grid)
-    report = validate_initial_data(state, grid)
-    if not report.passed:
-        raise ConfigError("initial data rejected: " + "; ".join(report.failures))
     controls = controls or controls_for(spec)
 
     records = []

@@ -171,7 +171,7 @@ def test_c12_oracle_consistency(canonical_spec):
 
 
 def test_c13_parameter_sweep(tmp_path):
-    code = main(["--output-dir", str(tmp_path / "sweep"), "sweep", str(CONFIGS / "sweep.cfg")])
+    code = main(["sweep", str(CONFIGS / "sweep.cfg"), "--output-dir", str(tmp_path / "sweep")])
     summary = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
     rows = [line.split(",") for line in summary[1:]]
     all_completed = all(r[3] == "completed" for r in rows if r[2] == "true")
@@ -199,7 +199,7 @@ def test_probe_window_values_stay_near_unity(canonical_run):
 
 
 def test_verify_command_passes_on_shipped_config(tmp_path):
-    code = main(["--output-dir", str(tmp_path / "verify"), "verify", str(CONFIGS / "verify.cfg")])
+    code = main(["verify", str(CONFIGS / "verify.cfg"), "--output-dir", str(tmp_path / "verify")])
     report = (tmp_path / "verify" / "verify_report.txt").read_text()
     assert "[FAIL]" not in report, report
     assert code == EXIT_OK
@@ -213,7 +213,7 @@ def test_verify_command_catches_loose_picard_tolerance(tmp_path):
     text = text.replace("T_end = 20.0", "T_end = 5.0")
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(text)
-    code = main(["--output-dir", str(tmp_path / "loose"), "verify", str(cfg)])
+    code = main(["verify", str(cfg), "--output-dir", str(tmp_path / "loose")])
     report = (tmp_path / "loose" / "verify_report.txt").read_text()
     assert code == EXIT_VERIFY
     assert "[FAIL] energy drift halves at second order" in report

@@ -145,7 +145,7 @@ def test_run_command_blowup_exits_3(tmp_path):
 
 def test_output_dir_override(tmp_path):
     cfg = write_config(tmp_path, SMALL_SCENARIO.format(out=tmp_path / "ignored"))
-    code = main(["--output-dir", str(tmp_path / "override"), "run", cfg])
+    code = main(["run", cfg, "--output-dir", str(tmp_path / "override")])
     assert code == EXIT_OK
     assert (tmp_path / "override" / "diagnostics.csv").exists()
     assert not (tmp_path / "ignored").exists()
@@ -216,8 +216,8 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     assert fields[3] == "blowup"
 
 
-def test_singular_solve_exits_3(tmp_path, monkeypatch):
-    """A singular tridiagonal system ends a run, or one sweep cell, as a blow-up."""
+def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):
+    """A singular tridiagonal system ends a run, one sweep cell, or verify as a blow-up."""
     def singular(*args):
         raise SingularMatrixError("zero pivot at row 3")
 
@@ -230,6 +230,11 @@ def test_singular_solve_exits_3(tmp_path, monkeypatch):
     assert sweep_command(write_config(tmp_path, text, "sweep.cfg")) == EXIT_BLOWUP
     lines = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
     assert lines[1].split(",")[3] == "blowup"
+    capsys.readouterr()
+    text = SMALL_SCENARIO.format(out=tmp_path / "verify")
+    assert main(["verify", write_config(tmp_path, text, "verify.cfg")]) == EXIT_BLOWUP
+    err = capsys.readouterr().err
+    assert "blow-up:" in err and "Traceback" not in err
 
 
 def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
@@ -239,6 +244,29 @@ def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
         assert sweep_command(write_config(tmp_path, text)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
+
+
+INVALID_SCENARIOS = {
+    "odd N": {"N = 64": "N = 7"},
+    "zero L": {"L = 10.0": "L = 0"},
+    "far field": {"width = 1.0": "width = 5.0"},
+    "empty probe window": {"L = 10.0": "L = 20.0", "N = 64": "N = 8", "probes = 0, 2": "probes = 0"},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_invalid_scenario_exits_2_before_any_work(tmp_path, capsys, command):
+    """Each scenario is rejected at load: exit 2, one stderr line, no output directory."""
+    for case, edits in INVALID_SCENARIOS.items():
+        text = SMALL_SCENARIO.format(out=tmp_path / "bad") + SWEEP_TAIL.format(
+            bvals="3", betavals="2", workers="1")
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        assert main([command, write_config(tmp_path, text)]) == EXIT_CONFIG, case
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, (case, err)
+        assert not (tmp_path / "bad").exists(), case
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -174,3 +174,7 @@ def test_scenario_spec_validation():
                         ("picard_tol", math.nan), ("floor_v", math.nan)):
         with pytest.raises(ConfigError):
             spec(**{name: value})
+    # the grid and the initial data are checked when the spec is built
+    for kw in ({"N": 7}, {"L": 0.0}, {"L": 10.0, "width": 5.0}):
+        with pytest.raises(ConfigError):
+            spec(**kw)
