@@ -331,6 +331,30 @@ def _worker_count(requested):
     return max(1, requested)
 
 
+def _run_jobs(jobs, workers):
+    """``fn(*args)`` for each ``(fn, args)`` in ``jobs``, returned in job order.
+
+    At most ``min(workers, len(jobs), usable CPUs)`` jobs run at once.  With
+    one, they run here in turn.  With more, each runs in a worker process
+    forked from this one, so it starts with the modules already imported;
+    ``fn`` and ``args`` must pickle.  If a job raises, the jobs not yet
+    started are cancelled, the workers exit, and its error is re-raised with
+    its type and message.
+    """
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(*args) for fn, args in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *args) for fn, args in jobs]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):
     params = replace(base.scenario.params, b=b, beta=beta)
     spec = replace(base.scenario, params=params)
@@ -390,23 +414,25 @@ def sweep_command(config_path, output_dir=None) -> int:
         )
     _atomic_write(os.path.join(out_root, "sweep_summary.csv"), "\n".join(lines) + "\n")
     failed_admissible = [r for r in rows if r["admissible"] and r["status"] != "completed"]
-    if failed_admissible:
-        for r in failed_admissible:
-            print(f"admissible cell (b={r['b']:g}, beta={r['beta']:g}) {r['status']}", file=sys.stderr)
+    for r in failed_admissible:
+        print(f"admissible cell (b={r['b']:g}, beta={r['beta']:g}) {r['status']}", file=sys.stderr)
+    if any(r["status"] == "blowup" for r in failed_admissible):
         return EXIT_BLOWUP
-    return EXIT_OK
+    return EXIT_IO if failed_admissible else EXIT_OK
 
 
 @_exit_code
 def verify_command(config_path, output_dir=None) -> int:
     """Run the verification suite and write verify_report.txt."""
+    from .verify_suite import _jobs
+
     config = load_run_config(config_path)
+    jobs = _jobs(config)
+    workers = _worker_count(len(jobs))
     out_dir = output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    from .verify_suite import run_verification
-
-    checks = run_verification(config)
+    checks = [row for rows in _run_jobs(jobs, workers) for row in rows]
     lines = []
     for name, ok, detail in checks:
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

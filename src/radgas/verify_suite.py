@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .cli import _run_jobs, _worker_count
 from .constitutive import (
     conduction_potential,
     conductivity,
@@ -153,10 +154,14 @@ def _check_mms_temporal(params):
     return ok, f"temporal orders ({detail}) must be >= 1.8"
 
 
+# The oracle check runs the scenario in this box at these (coarse, fine) pairs.
+_ORACLE_BOX = {"L": 10.0, "T_end": 2.0}
+_ORACLE_PAIRS = ((64, 256), (128, 512))
+
+
 def _check_oracle_consistency(spec):
-    spec = replace(spec, L=10.0, T_end=2.0)
-    coarse = oracle_compare(spec, 64, 256)
-    fine = oracle_compare(spec, 128, 512)
+    spec = replace(spec, **_ORACLE_BOX)
+    coarse, fine = (oracle_compare(spec, *pair) for pair in _ORACLE_PAIRS)
     ratios = {f: coarse[f]["L2"] / fine[f]["L2"] for f in coarse}
     ok = all(r >= 3.0 for r in ratios.values())
     detail = ", ".join(f"{f} {r:.2f}" for f, r in ratios.items())
@@ -279,24 +284,55 @@ def _check_large_time(config):
     return True, f"bounds plateaued, confinement exact, X+Y growth {growth:.2%}, envelope {env:.3f}"
 
 
-def run_verification(config):
-    """Run every check; returns a list of (name, passed, detail)."""
-    spec = config.scenario
+def _seeded_rows(spec):
+    """Rows of the five seeded checks, drawing from one generator in report order,
+    and of the equilibrium fixed point, which sits between them in the report."""
     params = spec.params
-    drift_spec = replace(spec, L=10.0, N=128, T_end=2.0)
     rng = np.random.default_rng(20240817)
-    checks = [
+    return [
         ("constitutive partials vs central differences", *_check_partials_fd(params, rng)),
         ("conduction potential vs Simpson quadrature", *_check_conduction_potential(params, rng)),
         ("entropy density nonnegative", *_check_entropy_nonneg(params, rng)),
         ("equilibrium is a fixed point", *_check_equilibrium_fixed_point(spec, 200)),
         ("tridiagonal solver vs dense elimination", *_check_tridiagonal(rng)),
         ("species update maximum principle", *_check_species_max_principle(params, rng)),
-        ("manufactured-solution spatial order", *_check_mms_spatial(params)),
-        ("manufactured-solution temporal order", *_check_mms_temporal(params)),
-        ("fine-grid oracle consistency", *_check_oracle_consistency(spec)),
-        ("energy drift halves at second order",
-         *_check_energy_drift_convergence(drift_spec, (0.04, 0.02, 0.01))),
-        ("large-time behavior of the scenario", *_check_large_time(config)),
     ]
-    return checks
+
+
+def _rows(name, check, *args):
+    return [(name, *check(*args))]
+
+
+def _jobs(config):
+    """The suite as independent ``(function, args)`` jobs in report order.
+
+    Each job returns its (name, passed, detail) rows.  Every scenario a check
+    derives from the configured one is built here, so one that is invalid
+    raises ConfigError before any check runs.
+    """
+    spec = config.scenario
+    params = spec.params
+    drift_spec = replace(spec, L=10.0, N=128, T_end=2.0)
+    oracle_box = replace(spec, **_ORACLE_BOX)
+    for pair in _ORACLE_PAIRS:
+        for N in pair:
+            replace(oracle_box, N=N)  # built to be validated; the check builds its own
+    return [
+        (_seeded_rows, (spec,)),
+        (_rows, ("manufactured-solution spatial order", _check_mms_spatial, params)),
+        (_rows, ("manufactured-solution temporal order", _check_mms_temporal, params)),
+        (_rows, ("fine-grid oracle consistency", _check_oracle_consistency, spec)),
+        (_rows, ("energy drift halves at second order", _check_energy_drift_convergence,
+                 drift_spec, (0.04, 0.02, 0.01))),
+        (_rows, ("large-time behavior of the scenario", _check_large_time, config)),
+    ]
+
+
+def run_verification(config):
+    """Run every check; returns a list of (name, passed, detail) in report order.
+
+    At most ``RADGAS_THREADS`` checks, and no more than the usable CPUs, run
+    at once.
+    """
+    jobs = _jobs(config)
+    return [row for rows in _run_jobs(jobs, _worker_count(len(jobs))) for row in rows]

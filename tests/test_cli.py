@@ -1,22 +1,32 @@
 """Config parsing, command exit codes, artifact formats, determinism."""
 
 import filecmp
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
+import radgas
 import radgas.integrator
+from radgas import verify_suite
 from radgas.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
+    _run_jobs,
     load_run_config,
     load_sweep_config,
     main,
     run_command,
     sweep_command,
 )
-from radgas.errors import ConfigError, SingularMatrixError
+from radgas.errors import BlowUpError, ConfigError, SingularMatrixError
 
 SMALL_SCENARIO = """
 [scenario]
@@ -252,12 +262,16 @@ INVALID_SCENARIOS = {
     "far field": {"width = 1.0": "width = 5.0"},
     "empty probe window": {"L = 10.0": "L = 20.0", "N = 64": "N = 8", "probes = 0, 2": "probes = 0"},
 }
+# Valid as configured, but not in the L = 10 box where verify runs some checks.
+INVALID_IN_VERIFY_BOX = {"far field in the L = 10 box": {"L = 10.0": "L = 20.0",
+                                                         "width = 1.0": "width = 3.0"}}
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
 def test_invalid_scenario_exits_2_before_any_work(tmp_path, capsys, command):
     """Each scenario is rejected at load: exit 2, one stderr line, no output directory."""
-    for case, edits in INVALID_SCENARIOS.items():
+    cases = dict(INVALID_SCENARIOS, **(INVALID_IN_VERIFY_BOX if command == "verify" else {}))
+    for case, edits in cases.items():
         text = SMALL_SCENARIO.format(out=tmp_path / "bad") + SWEEP_TAIL.format(
             bvals="3", betavals="2", workers="1")
         for old, new in edits.items():
@@ -313,3 +327,108 @@ def test_snapshot_time_past_end_warns(tmp_path, capsys):
 def test_verify_rejects_zero_horizon(tmp_path):
     text = SMALL_SCENARIO.format(out=tmp_path / "v0").replace("T_end = 0.5", "T_end = 0")
     assert main(["verify", write_config(tmp_path, text)]) == EXIT_CONFIG
+
+
+def test_sweep_io_error_exits_1(tmp_path, capsys):
+    """An admissible cell whose outputs cannot be written is an I/O failure, not a blow-up."""
+    out = tmp_path / "io"
+    out.mkdir()
+    (out / "cell_b3_beta2").write_text("a file where the cell directory goes\n")
+    text = SMALL_SCENARIO.format(out=out) + SWEEP_TAIL.format(bvals="3", betavals="2", workers="1")
+    assert sweep_command(write_config(tmp_path, text)) == EXIT_IO
+    assert "admissible cell (b=3, beta=2) io-error" in capsys.readouterr().err
+    assert (out / "sweep_summary.csv").read_text().splitlines()[1].split(",")[3] == "io-error"
+
+
+def _square_after(delay, x):
+    time.sleep(delay)
+    return x * x
+
+
+def _raise(error_type, message):
+    raise error_type(message)
+
+
+def _mark_after(delay, path):
+    with open(path, "w"):
+        pass
+    time.sleep(delay)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_jobs_returns_results_in_job_order(workers):
+    # later jobs finish first when they run side by side
+    jobs = [(_square_after, (0.05 * (4 - x), x)) for x in range(5)]
+    assert _run_jobs(jobs, workers) == [0, 1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("error_type", [BlowUpError, ConfigError])
+def test_run_jobs_reraises_the_error_of_a_job(workers, error_type):
+    jobs = [(_square_after, (0.0, 2)), (_raise, (error_type, "step 7 failed at x = 1.5"))]
+    with pytest.raises(error_type, match=r"^step 7 failed at x = 1\.5$"):
+        _run_jobs(jobs, workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_jobs_does_not_start_jobs_after_a_failure(tmp_path):
+    """Jobs still queued when one fails are cancelled; the workers exit before it returns."""
+    marks = [tmp_path / f"job{i}" for i in range(1, 10)]
+    jobs = [(_raise, (BlowUpError, "first job failed"))]
+    jobs += [(_mark_after, (0.5, str(path))) for path in marks]
+    with pytest.raises(BlowUpError, match="first job failed"):
+        _run_jobs(jobs, 2)
+    assert multiprocessing.active_children() == []
+    # the pool queues at most three jobs beyond the two its workers hold
+    assert not any(path.exists() for path in marks[5:])
+
+
+def test_import_does_not_load_multiprocessing():
+    """The worker pool is imported only when jobs run side by side."""
+    code = (
+        "import sys\n"
+        "import radgas.cli, radgas.verify_suite\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(radgas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _stub_check(*args):
+    """A cheap check whose detail shows its arguments and its draw, if it has a generator."""
+    rng = args[-1] if isinstance(args[-1], np.random.Generator) else None
+    draw = rng.uniform() if rng is not None else None
+    return True, f"{len(args)} arguments, draw {draw!r}"
+
+
+def test_verification_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """Forked workers see the stubs, and the rows keep report order and the seeded draws."""
+    names = [name for name in vars(verify_suite) if name.startswith("_check_")]
+    assert len(names) == 11
+    for name in names:
+        monkeypatch.setattr(verify_suite, name, _stub_check)
+    config = load_run_config(write_config(tmp_path, SMALL_SCENARIO.format(out=tmp_path / "v")))
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RADGAS_THREADS", threads)
+        rows[threads] = verify_suite.run_verification(config)
+    assert rows["1"] == rows["2"]
+    assert [name for name, _, _ in rows["1"]] == [
+        "constitutive partials vs central differences",
+        "conduction potential vs Simpson quadrature",
+        "entropy density nonnegative",
+        "equilibrium is a fixed point",
+        "tridiagonal solver vs dense elimination",
+        "species update maximum principle",
+        "manufactured-solution spatial order",
+        "manufactured-solution temporal order",
+        "fine-grid oracle consistency",
+        "energy drift halves at second order",
+        "large-time behavior of the scenario",
+    ]
+    draws = [detail for _, _, detail in rows["1"] if "draw None" not in detail]
+    assert len(draws) == len(set(draws)) == 5
