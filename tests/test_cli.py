@@ -270,7 +270,7 @@ INVALID_IN_VERIFY_BOX = {"far field in the L = 10 box": {"L = 10.0": "L = 20.0",
 @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
 def test_invalid_scenario_exits_2_before_any_work(tmp_path, capsys, command):
     """Each scenario is rejected at load: exit 2, one stderr line, no output directory."""
-    cases = dict(INVALID_SCENARIOS, **(INVALID_IN_VERIFY_BOX if command == "verify" else {}))
+    cases = INVALID_SCENARIOS | (INVALID_IN_VERIFY_BOX if command == "verify" else {})
     for case, edits in cases.items():
         text = SMALL_SCENARIO.format(out=tmp_path / "bad") + SWEEP_TAIL.format(
             bvals="3", betavals="2", workers="1")
