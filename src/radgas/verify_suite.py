@@ -2,8 +2,10 @@
 
 Each check returns (passed, detail).  The suite combines constitutive
 oracles, solver property checks, manufactured-solution refinement studies,
-and the qualitative large-time checks on the configured scenario.  All
-randomness is seeded, so reruns are bit-identical.  The acceptance tests
+and the qualitative large-time checks on the configured scenario.  The
+checks run as six independent jobs, in worker processes when more than one
+CPU is allowed; the seeded ones share one job, so all randomness is drawn
+in a fixed order and reruns are bit-identical.  The acceptance tests
 call the same checks and large-time helpers, so each property is
 implemented here only.
 """
