@@ -322,37 +322,42 @@ def run_command(config_path, output_dir=None) -> int:
 
 
 def _worker_count(requested):
-    cap = os.environ.get("RADGAS_THREADS")
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            raise ConfigError(f"RADGAS_THREADS = {cap!r} is not an integer")
-    return max(1, requested)
+    """How many workers to run for ``requested``: at least one, at most the usable CPUs.
+
+    This is the only place that reads the CPU count; ``taskset`` or a cpuset
+    lowers it.
+    """
+    return max(1, min(requested, len(os.sched_getaffinity(0))))
 
 
 def _run_jobs(jobs, workers):
     """``fn(*args)`` for each ``(fn, args)`` in ``jobs``, returned in job order.
 
-    At most ``min(workers, len(jobs), usable CPUs)`` jobs run at once.  With
-    one, they run here in turn.  With more, each runs in a worker process
-    forked from this one, so it starts with the modules already imported;
-    ``fn`` and ``args`` must pickle.  If a job raises, the jobs not yet
-    started are cancelled, the workers exit, and its error is re-raised with
-    its type and message.
+    At most ``min(workers, len(jobs))`` jobs run at once.  With one, they run
+    here in turn.  With more, each runs in a worker process forked from this
+    one, so it starts with the modules already imported; ``fn`` and ``args``
+    must pickle.  A job is handed out only when a worker is free, and none is
+    started once a job has raised: the jobs already running finish, the
+    workers exit, and the error of the first failed job in job order is
+    re-raised with its type and message.
     """
-    workers = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [fn(*args) for fn, args in jobs]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, *args) for fn, args in jobs]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    futures = []
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        running = set()
+        for fn, args in jobs:
+            if len(running) == workers:
+                finished, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() for future in finished):
+                    break
+            futures.append(pool.submit(fn, *args))
+            running.add(futures[-1])
+    return [future.result() for future in futures]
 
 
 def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):

@@ -10,7 +10,7 @@ class PositivityError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The implicit heat solve failed to converge within the iteration cap."""
+    """The heat solve did not converge, or the species update needs too many subcycles."""
 
 
 class BlowUpError(RuntimeError):

@@ -69,6 +69,9 @@ __all__ = [
 
 Z_BOUND_TOL = 1e-12
 _PIVOT_FLOOR = 1e-300
+# Most species subcycles one update may take; more rejects the step, which
+# halves dt.  Tier-1 and the benchmark workloads need at most 34.
+MAX_SUBCYCLES = 10_000
 
 
 @dataclass
@@ -363,7 +366,8 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
 
         sum(z_new)*dx + consumed = sum(z_old)*dx + injected sources
 
-    an identity up to solver round-off (end faces carry no flux).
+    an identity up to solver round-off (end faces carry no flux).  An update
+    that would need more than MAX_SUBCYCLES subcycles raises ConvergenceError.
     """
     t0 = state.t if t_start is None else t_start
     dx = grid.dx
@@ -371,7 +375,11 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     a = _face_coefficients(params.d / state.v**2, dx)
     rate_scale = a[:-1] + a[1:] + phi
     lam_max = float(rate_scale.max())
-    n_sub = max(1, math.ceil(0.5 * dt * lam_max))
+    needed = 0.5 * dt * lam_max
+    if not needed <= MAX_SUBCYCLES:
+        raise ConvergenceError(
+            f"species update needs {needed:.3g} subcycles (at most {MAX_SUBCYCLES})")
+    n_sub = max(1, math.ceil(needed))
     delta = dt / n_sub
     diag = 1.0 / delta + 0.5 * rate_scale
     off = -0.5 * a[1:-1]
@@ -434,38 +442,22 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
         try:
             t0 = state.t
             half = 0.5 * dt_try
-            windows = ((t0, half), (t0 + half, half))
-            consumed = 0.0
-
-            def species_sub(s, widx):
-                nonlocal consumed
-                z_new, c = _species_update(
-                    s, grid, params, windows[widx][1], sources=sources, t_start=windows[widx][0]
-                )
-                consumed += c
-                return State(s.t, s.v.copy(), s.theta.copy(), z_new, s.u.copy())
-
-            def heat_sub(s, widx):
-                return heat_step(
-                    s, grid, params, windows[widx][1], controls,
-                    sources=sources, t_start=windows[widx][0],
-                )
-
-            s1 = species_sub(state, 0)
-            s2, it1 = heat_sub(s1, 0)
+            z1, c1 = _species_update(state, grid, params, half, sources=sources, t_start=t0)
+            s1 = State(state.t, state.v.copy(), state.theta.copy(), z1, state.u.copy())
+            s2, it1 = heat_step(s1, grid, params, half, controls, sources=sources, t_start=t0)
             s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
-            s4, it2 = heat_sub(s3, 1)
-            s5 = species_sub(s4, 1)
-            iters = max(it1, it2)
-
+            s4, it2 = heat_step(s3, grid, params, half, controls, sources=sources,
+                                t_start=t0 + half)
+            z5, c2 = _species_update(s4, grid, params, half, sources=sources, t_start=t0 + half)
+            s5 = State(s4.t, s4.v.copy(), s4.theta.copy(), z5, s4.u.copy())
             _check_state_bounds(s5, controls, forced=sources is not None)
             s5.t = t0 + dt_try
             return StepOutcome(
                 new_state=s5,
                 dt_used=dt_try,
-                picard_iters=iters,
+                picard_iters=max(it1, it2),
                 rejected_count=rejected,
-                species_consumed=consumed,
+                species_consumed=c1 + c2,
             )
         except (PositivityError, ConvergenceError, SingularMatrixError) as exc:
             rejected += 1

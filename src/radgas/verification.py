@@ -380,17 +380,16 @@ def _restrict_to_coarse(fine: State, ratio: int) -> dict:
     return out
 
 
-def oracle_compare(spec: ScenarioSpec, N_coarse: int, N_fine: int, sample_cadence=None) -> dict:
-    """Run the same scenario at two resolutions and compare on the coarse grid.
+def oracle_compare(spec: ScenarioSpec, N_coarse: int, N_fine: int) -> dict:
+    """Run the same scenario at two resolutions and compare the final states on the coarse grid.
 
     Requires N_fine to be a multiple of N_coarse with ratio at least 4.
     Returns {field: {"L2": ..., "Linf": ...}}.
     """
     if N_fine % N_coarse != 0 or N_fine < 4 * N_coarse:
         raise ConfigError("need N_fine a multiple of N_coarse with ratio >= 4")
-    cadence = sample_cadence or spec.T_end
-    coarse = run_simulation(replace(spec, N=N_coarse), sample_cadence=cadence)
-    fine = run_simulation(replace(spec, N=N_fine), sample_cadence=cadence)
+    coarse = run_simulation(replace(spec, N=N_coarse), sample_cadence=spec.T_end)
+    fine = run_simulation(replace(spec, N=N_fine), sample_cadence=spec.T_end)
     ratio = N_fine // N_coarse
     restricted = _restrict_to_coarse(fine.final_state, ratio)
     return _field_errors(coarse.final_state, restricted, coarse.grid.dx)

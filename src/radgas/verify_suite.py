@@ -14,7 +14,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cli import _run_jobs, _worker_count
 from .constitutive import (
     conduction_potential,
     conductivity,
@@ -328,13 +327,3 @@ def _jobs(config):
                  drift_spec, (0.04, 0.02, 0.01))),
         (_rows, ("large-time behavior of the scenario", _check_large_time, config)),
     ]
-
-
-def run_verification(config):
-    """Run every check; returns a list of (name, passed, detail) in report order.
-
-    At most ``RADGAS_THREADS`` checks, and no more than the usable CPUs, run
-    at once.
-    """
-    jobs = _jobs(config)
-    return [row for rows in _run_jobs(jobs, _worker_count(len(jobs))) for row in rows]

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from radgas.cli import (
     EXIT_IO,
     EXIT_OK,
     _run_jobs,
+    _worker_count,
     load_run_config,
     load_sweep_config,
     main,
@@ -192,11 +194,13 @@ def test_sweep_parallel_matches_serial(tmp_path):
         tmp_path / "ss" / "sweep_summary.csv").read_text()
 
 
-def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("RADGAS_THREADS", "1")
-    text = SMALL_SCENARIO.format(out=tmp_path / "tc") + SWEEP_TAIL.format(
-        bvals="3", betavals="2", workers="8")
-    assert sweep_command(write_config(tmp_path, text)) == EXIT_OK
+def test_sweep_respects_thread_cap(monkeypatch):
+    """The sweep's threads, like verify's processes, number ``_worker_count(requested)``:
+    at least one and at most the usable CPUs."""
+    assert 1 <= _worker_count(8) <= len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _worker_count(8) == 1
+    assert _worker_count(0) == 1
 
 
 def test_sweep_beta_token_expansion(tmp_path):
@@ -224,6 +228,23 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     fields = lines[1].split(",")
     assert fields[2] == "false"
     assert fields[3] == "blowup"
+
+
+def test_huge_reaction_rate_exits_3_instead_of_hanging(tmp_path):
+    """K_react = 1e200 would need about 1e197 species subcycles; each attempt is rejected."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg").read_text()
+    for old, new in (("N = 512", "N = 32"), ("T_end = 20.0", "T_end = 0.2"),
+                     ("K_react = 1.0", "K_react = 1e200")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(radgas.__file__)))
+    out = subprocess.run([sys.executable, "-m", "radgas.cli", "run", cfg,
+                          "--output-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == EXIT_BLOWUP
+    assert out.stderr.startswith("blow-up:") and out.stderr.count("\n") == 1
+    assert "subcycles" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):
@@ -345,7 +366,8 @@ def _square_after(delay, x):
     return x * x
 
 
-def _raise(error_type, message):
+def _raise(error_type, message, delay=0.0):
+    time.sleep(delay)
     raise error_type(message)
 
 
@@ -372,16 +394,25 @@ def test_run_jobs_reraises_the_error_of_a_job(workers, error_type):
     assert multiprocessing.active_children() == []
 
 
+def test_run_jobs_reraises_the_first_failed_job_in_job_order():
+    """As when the jobs run in turn, though the second job fails first."""
+    jobs = [(_raise, (BlowUpError, "first job failed", 0.2)),
+            (_raise, (ConfigError, "second job failed"))]
+    with pytest.raises(BlowUpError, match="first job failed"):
+        _run_jobs(jobs, 2)
+    assert multiprocessing.active_children() == []
+
+
 def test_run_jobs_does_not_start_jobs_after_a_failure(tmp_path):
-    """Jobs still queued when one fails are cancelled; the workers exit before it returns."""
+    """Only the job running when one fails still runs; the workers exit before it returns."""
     marks = [tmp_path / f"job{i}" for i in range(1, 10)]
     jobs = [(_raise, (BlowUpError, "first job failed"))]
     jobs += [(_mark_after, (0.5, str(path))) for path in marks]
     with pytest.raises(BlowUpError, match="first job failed"):
         _run_jobs(jobs, 2)
     assert multiprocessing.active_children() == []
-    # the pool queues at most three jobs beyond the two its workers hold
-    assert not any(path.exists() for path in marks[5:])
+    # a job is handed out only when a worker is free
+    assert not any(path.exists() for path in marks[1:])
 
 
 def test_import_does_not_load_multiprocessing():
@@ -413,11 +444,11 @@ def test_verification_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypat
         monkeypatch.setattr(verify_suite, name, _stub_check)
     config = load_run_config(write_config(tmp_path, SMALL_SCENARIO.format(out=tmp_path / "v")))
     rows = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RADGAS_THREADS", threads)
-        rows[threads] = verify_suite.run_verification(config)
-    assert rows["1"] == rows["2"]
-    assert [name for name, _, _ in rows["1"]] == [
+    for workers in (1, 2):
+        jobs = verify_suite._jobs(config)
+        rows[workers] = [row for job_rows in _run_jobs(jobs, workers) for row in job_rows]
+    assert rows[1] == rows[2]
+    assert [name for name, _, _ in rows[1]] == [
         "constitutive partials vs central differences",
         "conduction potential vs Simpson quadrature",
         "entropy density nonnegative",
@@ -430,5 +461,5 @@ def test_verification_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypat
         "energy drift halves at second order",
         "large-time behavior of the scenario",
     ]
-    draws = [detail for _, _, detail in rows["1"] if "draw None" not in detail]
+    draws = [detail for _, _, detail in rows[1] if "draw None" not in detail]
     assert len(draws) == len(set(draws)) == 5
