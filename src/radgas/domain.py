@@ -93,9 +93,15 @@ class ScenarioSpec:
             raise ConfigError("T_end must be > 0")
         controls_for(self)  # StepControls owns the cfl, Picard and floor checks
         grid = build_grid(self.L, self.N)  # and build_grid the L and N checks
-        report = validate_initial_data(make_initial_data(self, grid), grid)
+        state = make_initial_data(self, grid)
+        report = validate_initial_data(state, grid)
         if not report.passed:
             raise ConfigError("initial data rejected: " + "; ".join(report.failures))
+        for name, floor, values in (("floor_v", self.floor_v, state.v),
+                                    ("floor_theta", self.floor_theta, state.theta)):
+            if not values.min() > floor:
+                raise ConfigError(f"{name} = {floor:g} is not below the initial minimum "
+                                  f"{values.min():.6g}")
 
 
 @dataclass(frozen=True)

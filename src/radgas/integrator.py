@@ -229,7 +229,8 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     Position-Verlet: half volume update, trapezoidal implicit solve for the
     new velocity (explicit pressure gradient, implicit viscous stress), half
     volume update with the new velocity.  Mass telescopes exactly because
-    boundary nodes never move.
+    boundary nodes never move.  A NaN or inf in the state raises BlowUpError
+    naming the field.
     """
     controls = controls or StepControls()
     t0 = state.t if t_start is None else t_start
@@ -237,6 +238,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     h = dt
     u = state.u
     th = state.theta
+    _check_finite(state)
     _check_quadrant(state.v, th)
 
     sv1 = _source_eval(getattr(sources, "Sv", None), t0 + 0.25 * h, grid.cell_centers)
@@ -296,7 +298,8 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     tridiagonal solve and the converged update is a genuine Crank-Nicolson
     step of the nonlinear equation.  The time derivative is weighted by the
     exact secant of internal energy in theta, which makes the per-step energy
-    balance an identity rather than an approximation.
+    balance an identity rather than an approximation.  A NaN or inf in the
+    state raises BlowUpError naming the field.
     """
     controls = controls or StepControls()
     t0 = state.t if t_start is None else t_start
@@ -304,6 +307,7 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     h = dt
     v = state.v
     th_old = state.theta
+    _check_finite(state)
     _check_quadrant(v, th_old)
     z = state.z
     u_x = (state.u[1:] - state.u[:-1]) / dx

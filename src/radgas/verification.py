@@ -42,30 +42,38 @@ __all__ = [
 FIELDS = ("v", "u", "theta", "z")
 
 
+def _gaussian(x, width):
+    return np.exp(-(x * x) / (width * width))
+
+
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form fields with the derivatives needed for residual sources.
+    """Gaussian bumps g(x) = exp(-x^2/width^2) decaying in time.
 
-    Every entry maps (t, x-array) -> array.  Fields must keep v and theta
-    positive and z inside [0, 1] on the configured domain and time window.
+    v = 1 + amp_v*g*exp(-rate*t), theta = 1 + amp_theta*g*exp(-rate*t),
+    z = amp_z*g*exp(-rate_z*t) and the odd u = amp_u*x*g*exp(-rate*t).  The
+    amplitudes must keep v and theta positive and z inside [0, 1].
     """
 
-    v: callable
-    v_t: callable
-    v_x: callable
-    v_xx: callable
-    u: callable
-    u_t: callable
-    u_x: callable
-    u_xx: callable
-    theta: callable
-    theta_t: callable
-    theta_x: callable
-    theta_xx: callable
-    z: callable
-    z_t: callable
-    z_x: callable
-    z_xx: callable
+    amp_v: float
+    amp_u: float
+    amp_theta: float
+    amp_z: float
+    width: float = 1.0
+    rate: float = 1.0
+    rate_z: float = 0.5
+
+    def v(self, t, x):
+        return 1.0 + self.amp_v * _gaussian(x, self.width) * math.exp(-self.rate * t)
+
+    def u(self, t, x):
+        return self.amp_u * x * _gaussian(x, self.width) * math.exp(-self.rate * t)
+
+    def theta(self, t, x):
+        return 1.0 + self.amp_theta * _gaussian(x, self.width) * math.exp(-self.rate * t)
+
+    def z(self, t, x):
+        return self.amp_z * _gaussian(x, self.width) * math.exp(-self.rate_z * t)
 
     def state(self, grid: Grid, t: float) -> State:
         return State(
@@ -77,76 +85,42 @@ class ManufacturedSolution:
         )
 
 
-def _gaussian_parts(width):
-    w2 = width * width
-
-    def g(x):
-        return np.exp(-(x * x) / w2)
-
-    def g_x(x):
-        return -2.0 * x / w2 * g(x)
-
-    def g_xx(x):
-        return (-2.0 / w2 + 4.0 * x * x / (w2 * w2)) * g(x)
-
-    return g, g_x, g_xx
-
-
 def gaussian_manufactured_solution(
     amp_v=0.1, amp_u=0.1, amp_theta=0.15, amp_z=0.4, width=1.0,
     rate=1.0, rate_z=0.5,
 ) -> ManufacturedSolution:
     """Gaussian bumps decaying like exp(-rate*t); u gets an odd x*g profile."""
-    g, g_x, g_xx = _gaussian_parts(width)
-
-    def tau(t):
-        return math.exp(-rate * t)
-
-    def tau_z(t):
-        return math.exp(-rate_z * t)
-
-    return ManufacturedSolution(
-        v=lambda t, x: 1.0 + amp_v * g(x) * tau(t),
-        v_t=lambda t, x: -rate * amp_v * g(x) * tau(t),
-        v_x=lambda t, x: amp_v * g_x(x) * tau(t),
-        v_xx=lambda t, x: amp_v * g_xx(x) * tau(t),
-        u=lambda t, x: amp_u * x * g(x) * tau(t),
-        u_t=lambda t, x: -rate * amp_u * x * g(x) * tau(t),
-        u_x=lambda t, x: amp_u * (g(x) + x * g_x(x)) * tau(t),
-        u_xx=lambda t, x: amp_u * (2.0 * g_x(x) + x * g_xx(x)) * tau(t),
-        theta=lambda t, x: 1.0 + amp_theta * g(x) * tau(t),
-        theta_t=lambda t, x: -rate * amp_theta * g(x) * tau(t),
-        theta_x=lambda t, x: amp_theta * g_x(x) * tau(t),
-        theta_xx=lambda t, x: amp_theta * g_xx(x) * tau(t),
-        z=lambda t, x: amp_z * g(x) * tau_z(t),
-        z_t=lambda t, x: -rate_z * amp_z * g(x) * tau_z(t),
-        z_x=lambda t, x: amp_z * g_x(x) * tau_z(t),
-        z_xx=lambda t, x: amp_z * g_xx(x) * tau_z(t),
-    )
+    return ManufacturedSolution(amp_v, amp_u, amp_theta, amp_z, width, rate, rate_z)
 
 
 def equilibrium_manufactured_solution() -> ManufacturedSolution:
     """The rest state as a manufactured solution; every source vanishes."""
-    one = lambda t, x: np.ones_like(x)
-    zero = lambda t, x: np.zeros_like(x)
-    return ManufacturedSolution(
-        v=one, v_t=zero, v_x=zero, v_xx=zero,
-        u=zero, u_t=zero, u_x=zero, u_xx=zero,
-        theta=one, theta_t=zero, theta_x=zero, theta_xx=zero,
-        z=zero, z_t=zero, z_x=zero, z_xx=zero,
-    )
+    return ManufacturedSolution(0.0, 0.0, 0.0, 0.0)
 
 
 def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
     """(S_v, S_u, S_e, S_z, e_v): manufactured_source's residuals and the e_v they used."""
     x = np.asarray(x, dtype=float)
-    v = ms.v(t, x)
-    v_t = ms.v_t(t, x)
-    v_x = ms.v_x(t, x)
-    u_x = ms.u_x(t, x)
-    th = ms.theta(t, x)
-    th_x = ms.theta_x(t, x)
-    z = ms.z(t, x)
+    w2 = ms.width * ms.width
+    g = _gaussian(x, ms.width)
+    g_x = -2.0 * x / w2 * g
+    g_xx = (-2.0 / w2 + 4.0 * x * x / (w2 * w2)) * g
+    tau = math.exp(-ms.rate * t)
+    tau_z = math.exp(-ms.rate_z * t)
+    v = 1.0 + ms.amp_v * g * tau
+    v_t = -ms.rate * ms.amp_v * g * tau
+    v_x = ms.amp_v * g_x * tau
+    u_t = -ms.rate * ms.amp_u * x * g * tau
+    u_x = ms.amp_u * (g + x * g_x) * tau
+    u_xx = ms.amp_u * (2.0 * g_x + x * g_xx) * tau
+    th = 1.0 + ms.amp_theta * g * tau
+    th_t = -ms.rate * ms.amp_theta * g * tau
+    th_x = ms.amp_theta * g_x * tau
+    th_xx = ms.amp_theta * g_xx * tau
+    z = ms.amp_z * g * tau_z
+    z_t = -ms.rate_z * ms.amp_z * g * tau_z
+    z_x = ms.amp_z * g_x * tau_z
+    z_xx = ms.amp_z * g_xx * tau_z
 
     _check_quadrant(v, th)  # once; the kernels below skip it
     th_cu = th**3
@@ -155,35 +129,26 @@ def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
     e_v = params.a * th**4
     e_theta = _e_theta(params, v, th_cu)
     S_v = v_t - u_x
-    S_u = (
-        ms.u_t(t, x)
-        + p_v * v_x
-        + p_theta * th_x
-        - params.mu * (ms.u_xx(t, x) / v - u_x * v_x / v**2)
-    )
+    S_u = u_t + p_v * v_x + p_theta * th_x - params.mu * (u_xx / v - u_x * v_x / v**2)
     kappa = _conductivity(params, v, th)
     kappa_v = params.kappa2 * th**params.b
     kappa_th = params.kappa2 * params.b * v * th ** (params.b - 1.0)
     flux_div = (
         (kappa_v * v_x + kappa_th * th_x) * th_x / v
-        + kappa * ms.theta_xx(t, x) / v
+        + kappa * th_xx / v
         - kappa * th_x * v_x / v**2
     )
     phi = _reaction_rate(params, th)
     p = _pressure(params, v, th)
     S_e = (
-        e_theta * ms.theta_t(t, x)
+        e_theta * th_t
         + e_v * v_t
         + p * u_x
         - params.mu * u_x**2 / v
         - flux_div
         - params.lam * phi * z
     )
-    S_z = (
-        ms.z_t(t, x)
-        - params.d * (ms.z_xx(t, x) / v**2 - 2.0 * ms.z_x(t, x) * v_x / v**3)
-        + phi * z
-    )
+    S_z = z_t - params.d * (z_xx / v**2 - 2.0 * z_x * v_x / v**3) + phi * z
     return S_v, S_u, S_e, S_z, e_v
 
 

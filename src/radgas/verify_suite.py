@@ -23,6 +23,7 @@ from .constitutive import (
     pressure,
 )
 from .domain import State, build_grid, make_initial_data
+from .errors import InsufficientHistory, WindowOutOfDomain
 from .functionals import (
     representation_check,
     temperature_envelope_check,
@@ -277,7 +278,7 @@ def _check_large_time(config):
             problems.append(f"representation error {fine:.2e}")
         if fine > REPRESENTATION_HALVING * coarse:
             problems.append("representation error not halving with cadence")
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
+    except (WindowOutOfDomain, InsufficientHistory) as exc:
         problems.append(f"representation probe failed: {exc}")
 
     if problems:

@@ -28,7 +28,7 @@ from radgas.cli import (
     run_command,
     sweep_command,
 )
-from radgas.errors import BlowUpError, ConfigError, SingularMatrixError
+from radgas.errors import BlowUpError, ConfigError, SingularMatrixError, WindowOutOfDomain
 
 SMALL_SCENARIO = """
 [scenario]
@@ -146,9 +146,10 @@ def test_run_command_reruns_bit_identical(tmp_path):
 
 
 def test_run_command_blowup_exits_3(tmp_path):
+    """An inward velocity compresses the gas from v >= 1 through the floor at about t = 0.25."""
     text = SMALL_SCENARIO.format(out=tmp_path / "boom")
-    text = text.replace("amplitude_v = 0.1", "amplitude_v = -0.5")
-    text = text.replace("cfl = 0.5", "cfl = 0.5\nfloor_v = 0.7")
+    text = text.replace("amplitude_u = 0.1", "amplitude_u = -1.0")
+    text = text.replace("cfl = 0.5", "cfl = 0.5\nfloor_v = 0.9")
     text = text.replace("b = 3.0", "b = 1.0").replace("beta = 2.0", "beta = 12.0")
     assert run_command(write_config(tmp_path, text)) == EXIT_BLOWUP
     note = (tmp_path / "boom" / "report.txt").read_text()
@@ -220,8 +221,8 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     """Cells outside the admissible exponent range run and get recorded; even
     a blow-up there is not fatal for the sweep."""
     text = SMALL_SCENARIO.format(out=tmp_path / "inad")
-    text = text.replace("amplitude_v = 0.1", "amplitude_v = -0.5")
-    text = text.replace("cfl = 0.5", "cfl = 0.5\nfloor_v = 0.7")
+    text = text.replace("amplitude_u = 0.1", "amplitude_u = -1.0")
+    text = text.replace("cfl = 0.5", "cfl = 0.5\nfloor_v = 0.9")
     text += SWEEP_TAIL.format(bvals="1", betavals="0", workers="1")
     assert sweep_command(write_config(tmp_path, text)) == EXIT_OK
     lines = (tmp_path / "inad" / "sweep_summary.csv").read_text().splitlines()
@@ -282,6 +283,7 @@ INVALID_SCENARIOS = {
     "zero L": {"L = 10.0": "L = 0"},
     "far field": {"width = 1.0": "width = 5.0"},
     "empty probe window": {"L = 10.0": "L = 20.0", "N = 64": "N = 8", "probes = 0, 2": "probes = 0"},
+    "floor above the initial temperature": {"cfl = 0.5": "cfl = 0.5\nfloor_theta = 2"},
 }
 # Valid as configured, but not in the L = 10 box where verify runs some checks.
 INVALID_IN_VERIFY_BOX = {"far field in the L = 10 box": {"L = 10.0": "L = 20.0",
@@ -463,3 +465,22 @@ def test_verification_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypat
     ]
     draws = [detail for _, _, detail in rows[1] if "draw None" not in detail]
     assert len(draws) == len(set(draws)) == 5
+
+
+def _raising(exc):
+    def probe(*args):
+        raise exc
+    return probe
+
+
+def test_large_time_check_fails_only_on_typed_probe_errors(tmp_path, monkeypatch):
+    """A typed error in the representation probe is a FAIL line; any other keeps its traceback."""
+    config = load_run_config(write_config(tmp_path, SMALL_SCENARIO.format(out=tmp_path / "o")))
+    monkeypatch.setattr(verify_suite, "representation_check",
+                        _raising(WindowOutOfDomain("window [9, 11] contains no cells")))
+    passed, detail = verify_suite._check_large_time(config)
+    assert not passed
+    assert detail.endswith("representation probe failed: window [9, 11] contains no cells")
+    monkeypatch.setattr(verify_suite, "representation_check", _raising(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        verify_suite._check_large_time(config)

@@ -178,3 +178,6 @@ def test_scenario_spec_validation():
     for kw in ({"N": 7}, {"L": 0.0}, {"L": 10.0, "width": 5.0}):
         with pytest.raises(ConfigError):
             spec(**kw)
+    # and so are floors that the initial data already violate
+    with pytest.raises(ConfigError, match="floor_v"):
+        spec(amplitude_v=-0.2, floor_v=0.9)

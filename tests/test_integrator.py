@@ -289,8 +289,9 @@ def test_non_finite_state_raises_blowup_naming_the_field(field):
         getattr(state, field)[10] = bad
         with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
             strang_step(state, grid, spec.params, 0.01, controls)
-        with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
-            species_step(state, grid, spec.params, 0.01)
+        for substep in (species_step, heat_step, hydro_step):
+            with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
+                substep(state, grid, spec.params, 0.01)
         if field != "z":
             with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
                 select_timestep(state, grid, spec.params, controls)
@@ -371,10 +372,10 @@ def test_run_simulation_grid_refinement_convergence(small_gaussian_spec):
 
 
 def test_run_simulation_blows_up_on_hopeless_floor():
-    spec = ScenarioSpec(amplitude_v=-0.2, amplitude_u=0.0, amplitude_theta=0.0,
-                        amplitude_z=0.0, L=10.0, N=64, T_end=1.0, floor_v=0.9)
-    with pytest.raises(BlowUpError):
-        run_simulation(spec, sample_cadence=0.5)
+    """A floor the initial data already violate is rejected when the spec is built."""
+    with pytest.raises(ConfigError, match="floor_v = 0.9 is not below the initial minimum 0.8"):
+        ScenarioSpec(amplitude_v=-0.2, amplitude_u=0.0, amplitude_theta=0.0,
+                     amplitude_z=0.0, L=10.0, N=64, T_end=1.0, floor_v=0.9)
 
 
 def test_run_simulation_rejects_bad_cadence(small_gaussian_spec):

@@ -34,23 +34,17 @@ def test_equilibrium_solution_has_zero_sources():
 
 
 def test_volume_only_solution_spot_value():
-    """With u = 0, theta = 1, z = 0 the volume residual is just d/dt of v,
-    which vanishes at x = 0 for an odd-in-x profile."""
-    L = 8.0
-    ms = equilibrium_manufactured_solution()
-    vfun = lambda t, x: 1.0 + 0.1 * np.sin(math.pi * x / L) * math.exp(-t)
-    from dataclasses import replace
-    ms = replace(
-        ms,
-        v=vfun,
-        v_t=lambda t, x: -0.1 * np.sin(math.pi * x / L) * math.exp(-t),
-        v_x=lambda t, x: 0.1 * math.pi / L * np.cos(math.pi * x / L) * math.exp(-t),
-        v_xx=lambda t, x: -0.1 * (math.pi / L) ** 2 * np.sin(math.pi * x / L) * math.exp(-t),
-    )
-    S_v, S_u, S_e, S_z = manufactured_source(ms, PARAMS, 0.0, np.array([0.0]))
-    assert S_v[0] == 0.0
-    assert S_z[0] == 0.0
-    assert S_u[0] != 0.0  # pressure gradient of the tilted volume
+    """With u = 0, theta = 1, z = 0 the volume residual is just d/dt of v, the
+    species residual vanishes, and the momentum residual is the pressure
+    gradient of the tilted volume."""
+    ms = gaussian_manufactured_solution(amp_u=0.0, amp_theta=0.0, amp_z=0.0)
+    t = 0.3
+    x = np.array([-1.0, 0.0, 0.5, 2.0])
+    v_t = -ms.rate * ms.amp_v * np.exp(-(x * x) / (ms.width * ms.width)) * math.exp(-ms.rate * t)
+    S_v, S_u, S_e, S_z = manufactured_source(ms, PARAMS, t, x)
+    assert np.array_equal(S_v, v_t)
+    assert np.array_equal(S_z, np.zeros_like(x))
+    assert np.all(S_u[x != 0.0] != 0.0)
 
 
 def _finite_difference_sources(ms, params, t, x, h=1e-4):
