@@ -32,6 +32,7 @@ from .functionals import (
     DiagnosticsRecord,
     ProbeWindow,
     RepresentationProbe,
+    WindowHistory,
     accumulate_XY,
     conserved_quantities,
     dissipation_rate,

@@ -5,11 +5,13 @@ Configuration is flat ``key = value`` text with bracketed section headers
 names of its dataclass (``lambda`` spells ``lam``), each value is converted by
 its field's type, and unknown keys are hard errors so a misspelled physics
 constant can never silently fall back to a default.  All output files are
-written to a temporary name and renamed on completion.
+written to a temporary name and renamed on completion; a write that fails
+removes its temporary file.
 """
 
 import argparse
 import configparser
+import contextlib
 import functools
 import math
 import os
@@ -17,13 +19,12 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-import numpy as np
-
 from .constitutive import GasParameters
 from .domain import ScenarioSpec, build_grid, validate_parameters
 from .errors import BlowUpError, ConfigError, WindowOutOfDomain
 from .functionals import (
     DiagnosticsRecord,
+    WindowHistory,
     _window_cells,
     interval_probe,
     representation_check,
@@ -193,9 +194,14 @@ def load_sweep_config(path) -> SweepConfig:
 
 def _atomic_write(path, text):
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_diagnostics_csv(path, records):
@@ -204,10 +210,23 @@ def _write_diagnostics_csv(path, records):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshot(path, result, t_request):
-    idx = int(np.argmin(np.abs(result.sample_times - t_request)))
-    state = result.states[idx]
-    xc = result.grid.cell_centers
+class _NearestSamples:
+    """For each requested time, the sampled state nearest to it: the first of
+    equally near ones, as ``np.argmin`` over the sample times picks."""
+
+    def __init__(self, times):
+        self.times = list(times)
+        self.states = [None] * len(self.times)
+
+    def __call__(self, state):
+        for i, t in enumerate(self.times):
+            kept = self.states[i]
+            if kept is None or abs(state.t - t) < abs(kept.t - t):
+                self.states[i] = state
+
+
+def _write_snapshot(path, grid, state):
+    xc = grid.cell_centers
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
     lines = [f"# t={state.t:.17g}"]
     for i in range(xc.size):
@@ -217,7 +236,7 @@ def _write_snapshot(path, result, t_request):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _report_text(config: RunConfig, result) -> str:
+def _report_text(config: RunConfig, result, windows) -> str:
     spec = config.scenario
     blocks = [validate_parameters(spec.params).summary()]
     final = result.records[-1]
@@ -243,21 +262,17 @@ def _report_text(config: RunConfig, result) -> str:
         f"  max_theta / theta-bound ratio = {ratio:.6g}\n"
         f"  boundary deviation max = {max(r.boundary_deviation for r in result.records):.3e}"
     )
-    if result.states is not None and len(result.states) >= 2:
+    if len(result.records) >= 2:
         blocks.append(
             "temperature lower envelope constant = "
-            f"{temperature_envelope_check(result.states):.6g}"
+            f"{temperature_envelope_check(result.records):.6g}"
         )
-    for k in config.probes:
-        blocks.append(interval_probe(result.final_state, result.grid, k).block())
-        if result.states is not None:
-            try:
-                probe = representation_check(
-                    result.states, result.grid, spec.params, k, result.final_state.t
-                )
-                blocks.append(probe.block())
-            except WindowOutOfDomain as exc:
-                blocks.append(f"volume representation k = {k}: skipped ({exc})")
+    for window in windows:
+        blocks.append(interval_probe(result.final_state, result.grid, window.k).block())
+        try:
+            blocks.append(representation_check(window, result.final_state.t).block())
+        except WindowOutOfDomain as exc:
+            blocks.append(f"volume representation k = {window.k}: skipped ({exc})")
     blocks.append(
         "final deviation norms\n"
         + "\n".join(f"  {k} = {final.norms[k]:.10g}" for k in ("L2", "L4", "Linf", "grad_L2"))
@@ -297,27 +312,38 @@ def _write_abort_report(out_dir, exc):
 
 @_exit_code
 def run_command(config_path, output_dir=None) -> int:
-    """Execute one simulation and write diagnostics.csv, snapshots, report.txt."""
+    """Execute one simulation and write diagnostics.csv, snapshots, report.txt.
+
+    Of each sample the run keeps its record and its probe-window rows; whole
+    states only for the snapshot times.
+    """
     config = load_run_config(config_path)
+    spec = config.scenario
     out_dir = output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
+    grid = build_grid(spec.L, spec.N)
+    windows = [WindowHistory(grid, spec.params, k) for k in config.probes]
+    snapshots = _NearestSamples(config.snapshot_times if config.emit_snapshots else ())
+
+    def sample(state):
+        snapshots(state)
+        for window in windows:
+            window.append(state)
+
     try:
-        result = run_simulation(
-            config.scenario, sample_cadence=config.sample_cadence, keep_states=True
-        )
+        result = run_simulation(spec, sample_cadence=config.sample_cadence, on_sample=sample)
     except BlowUpError as exc:
         _write_abort_report(out_dir, exc)
         raise
     _write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), result.records)
-    if config.emit_snapshots:
-        for t_req in config.snapshot_times:
-            name = f"snapshot_t{t_req:g}.dat"
-            if t_req > config.scenario.T_end:
-                print(f"warning: snapshot time {t_req:g} is past T_end = "
-                      f"{config.scenario.T_end:g}; {name} holds the final state",
-                      file=sys.stderr)
-            _write_snapshot(os.path.join(out_dir, name), result, t_req)
-    _atomic_write(os.path.join(out_dir, "report.txt"), _report_text(config, result))
+    for t_req, state in zip(snapshots.times, snapshots.states):
+        name = f"snapshot_t{t_req:g}.dat"
+        if t_req > spec.T_end:
+            print(f"warning: snapshot time {t_req:g} is past T_end = "
+                  f"{spec.T_end:g}; {name} holds the final state",
+                  file=sys.stderr)
+        _write_snapshot(os.path.join(out_dir, name), result.grid, state)
+    _atomic_write(os.path.join(out_dir, "report.txt"), _report_text(config, result, windows))
     return EXIT_OK
 
 

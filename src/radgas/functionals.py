@@ -5,6 +5,7 @@ on interior faces; time integrals over sampled histories use the trapezoid
 rule.  All functions here are read-only.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "DiagnosticsRecord",
     "ProbeWindow",
     "RepresentationProbe",
+    "WindowHistory",
     "conserved_quantities",
     "dissipation_rate",
     "entropy_energy",
@@ -294,7 +296,56 @@ def _strip_weights(grid: Grid, lo: float, hi: float) -> np.ndarray:
     return np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, None)
 
 
-def representation_check(states, grid: Grid, params: GasParameters, k: int, t: float) -> RepresentationProbe:
+class WindowHistory:
+    """What the volume representation reads of each sample, for one probe window.
+
+    ``append`` takes the sampled states in time order, the first being the
+    initial one, and keeps of each only its time, its B row, the strip
+    integral of its total stress, and v and theta on the window cells, so the
+    history grows with the window and not with the grid.
+    """
+
+    def __init__(self, grid: Grid, params: GasParameters, k: int):
+        self.grid = grid
+        self.params = params
+        self.k = k
+        self.idx = _window_cells(grid, k)
+        self._cut = _cutoff(grid.cell_centers, k)
+        self._strip_w = _strip_weights(grid, k + 1.0, k + 2.0)
+        self._u0_c = None
+        self.t, self.B, self.stress, self.v, self.theta = [], [], [], [], []
+
+    @classmethod
+    def of(cls, states, grid: Grid, params: GasParameters, k: int) -> "WindowHistory":
+        """The history of a list of sampled states."""
+        history = cls(grid, params, k)
+        for s in states:
+            history.append(s)
+        return history
+
+    def append(self, s: State) -> None:
+        idx, dx, params = self.idx, self.grid.dx, self.params
+        if self._u0_c is None:
+            self._u0_c = _u_on_cells(s.u)
+        self.t.append(s.t)
+        self.v.append(s.v[idx])
+        self.theta.append(s.theta[idx])
+        w = (self._u0_c - _u_on_cells(s.u)) * self._cut
+        self.B.append(self.v[0] * np.exp(_suffix_trapezoid(w, dx)[idx] / params.mu))
+        u_x = np.diff(s.u) / dx
+        total_stress = params.mu * u_x / s.v - pressure(params, s.v, s.theta)
+        self.stress.append(float(np.sum(total_stress * self._strip_w)))
+
+    def every(self, step: int) -> "WindowHistory":
+        """The history of every ``step``-th sample, from the first; its rows
+        are those of the full history, since B is measured from the first."""
+        sub = copy.copy(self)
+        for name in ("t", "B", "stress", "v", "theta"):
+            setattr(sub, name, getattr(self, name)[::step])
+        return sub
+
+
+def representation_check(history: WindowHistory, t: float) -> RepresentationProbe:
     """Reconstruct v on the window [-k-1, k+1] at time t from the history.
 
     B comes from the cut-off-weighted integral of the velocity change to the
@@ -302,32 +353,18 @@ def representation_check(states, grid: Grid, params: GasParameters, k: int, t: f
     [k+1, k+2] of the total stress, and the reconstruction discretizes the
     closed-form volume formula with trapezoids over the stored samples.
     """
+    grid, params, k = history.grid, history.params, history.k
     if k + 2.0 > grid.L:
         raise WindowOutOfDomain(f"need k + 2 <= L, got k = {k}, L = {grid.L}")
-    if len(states) < 2:
+    if len(history.t) < 2:
         raise InsufficientHistory("need at least 2 sampled states")
-    times = np.array([s.t for s in states])
+    times = np.array(history.t)
     if t > times[-1] + 1e-9:
         raise InsufficientHistory(f"history ends at t = {times[-1]:.6g} before requested {t:.6g}")
     m_t = int(np.argmin(np.abs(times - t)))
-    idx = _window_cells(grid, k)
-    dx = grid.dx
-    xc = grid.cell_centers
-    cut = _cutoff(xc, k)
-    strip_w = _strip_weights(grid, k + 1.0, k + 2.0)
-    u0_c = _u_on_cells(states[0].u)
-    v0 = states[0].v
-
     n_hist = m_t + 1
-    B = np.empty((n_hist, idx.size))
-    stress_integral = np.empty(n_hist)
-    for m in range(n_hist):
-        s = states[m]
-        w = (u0_c - _u_on_cells(s.u)) * cut
-        B[m] = v0[idx] * np.exp(_suffix_trapezoid(w, dx)[idx] / params.mu)
-        u_x = np.diff(s.u) / dx
-        total_stress = params.mu * u_x / s.v - pressure(params, s.v, s.theta)
-        stress_integral[m] = float(np.sum(total_stress * strip_w))
+    B = history.B
+    stress_integral = np.array(history.stress)
 
     # Q(s) for every sample via a running trapezoid of the strip integral
     Q = np.empty(n_hist)
@@ -337,45 +374,43 @@ def representation_check(states, grid: Grid, params: GasParameters, k: int, t: f
         acc += 0.5 * (stress_integral[m - 1] + stress_integral[m]) * (times[m] - times[m - 1])
         Q[m] = math.exp(acc / params.mu)
 
-    BQ_t = B[-1] * Q[-1]
-    integrand = np.empty((n_hist, idx.size))
+    BQ_t = B[m_t] * Q[-1]
+    integrand = np.empty((n_hist, history.idx.size))
     for m in range(n_hist):
-        s = states[m]
-        integrand[m] = BQ_t * s.v[idx] * pressure(params, s.v[idx], s.theta[idx]) / (B[m] * Q[m])
-    time_int = np.zeros(idx.size)
+        v, theta = history.v[m], history.theta[m]
+        integrand[m] = BQ_t * v * pressure(params, v, theta) / (B[m] * Q[m])
+    time_int = np.zeros(history.idx.size)
     for m in range(1, n_hist):
         time_int += 0.5 * (integrand[m - 1] + integrand[m]) * (times[m] - times[m - 1])
 
     v_rec = BQ_t + time_int / params.mu
-    v_true = states[m_t].v[idx]
+    v_true = history.v[m_t]
     max_rel = float(np.max(np.abs(v_rec - v_true) / np.abs(v_true)))
     return RepresentationProbe(
         k=k,
-        B=B[-1],
+        B=B[m_t],
         Q=float(Q[-1]),
         v_reconstructed=v_rec,
         max_rel_error=max_rel,
     )
 
 
-def temperature_envelope_check(states) -> float:
+def temperature_envelope_check(records) -> float:
     """Smallest certified constant for the temperature lower envelope.
 
-    Scans all sampled pairs s < t of the identity
-    theta_min(t) * (1 + (t - s) * theta_min(s)) / theta_min(s) using a prefix
-    minimum, so the cost is linear in the history length.  A strictly
-    positive return certifies the discrete lower envelope for the run.
+    Reads the time ``t`` and the least temperature ``min_theta`` of each
+    sampled DiagnosticsRecord and scans all sampled pairs s < t of the
+    identity theta_min(t) * (1 + (t - s) * theta_min(s)) / theta_min(s) using
+    a prefix minimum, so the cost is linear in the history length.  A
+    strictly positive return certifies the discrete lower envelope for the run.
     """
-    if len(states) < 2:
+    if len(records) < 2:
         raise InsufficientHistory("need at least 2 sampled states")
     best = math.inf
     worst_ratio = math.inf
-    for i, s in enumerate(states[1:], start=1):
-        prev = states[i - 1]
-        m_prev = float(np.min(prev.theta))
-        best = min(best, 1.0 / m_prev - prev.t)
-        m_t = float(np.min(s.theta))
-        worst_ratio = min(worst_ratio, m_t * (s.t + best))
+    for prev, r in zip(records[:-1], records[1:]):
+        best = min(best, 1.0 / prev.min_theta - prev.t)
+        worst_ratio = min(worst_ratio, r.min_theta * (r.t + best))
     return worst_ratio
 
 

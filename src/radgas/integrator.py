@@ -475,7 +475,8 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
 
 @dataclass
 class RunResult:
-    """Full output of a simulation: diagnostics history plus optional states."""
+    """Output of a simulation: the diagnostics history, plus every sampled
+    state when asked for."""
 
     spec: ScenarioSpec
     grid: Grid
@@ -500,13 +501,17 @@ def run_simulation(
     keep_states: bool = False,
     controls: StepControls | None = None,
     sources=None,
+    on_sample=None,
 ) -> RunResult:
     """Integrate the scenario from t = 0 to T_end, sampling diagnostics.
 
     Every accepted state satisfies the positivity floors and (for unforced
     runs) reactant confinement, otherwise BlowUpError propagates.  Sampling
     lands exactly on multiples of the cadence because the timestep is capped
-    by the distance to the next sample time.
+    by the distance to the next sample time.  Each sampled state, the
+    initial one first, is passed to ``on_sample`` as it is taken, and kept
+    in ``states`` when ``keep_states`` is set.  No state is changed after
+    it is sampled, so a consumer may keep it without a copy.
     """
     from .functionals import accumulate_XY_increment, make_record
 
@@ -519,14 +524,16 @@ def run_simulation(
 
     records = []
     states = [] if keep_states else None
+    consumers = [states.append] if keep_states else []
+    if on_sample is not None:
+        consumers.append(on_sample)
     X_acc = 0.0
     Y_run = 0.0
     rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
     records.append(rec)
-    if keep_states:
-        states.append(state.copy())
-    sample_times = [0.0]
-    prev_sample = state.copy()
+    for consume in consumers:
+        consume(state)
+    prev_sample = state
     consumed_total = 0.0
 
     k_sample = 1
@@ -547,10 +554,9 @@ def run_simulation(
             X_acc += dX
             rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
             records.append(rec)
-            sample_times.append(state.t)
-            if keep_states:
-                states.append(state.copy())
-            prev_sample = state.copy()
+            for consume in consumers:
+                consume(state)
+            prev_sample = state
             k_sample += 1
 
     return RunResult(
@@ -560,6 +566,6 @@ def run_simulation(
         final_state=state,
         records=records,
         states=states,
-        sample_times=np.array(sample_times),
+        sample_times=np.array([r.t for r in records]),
         species_consumed=consumed_total,
     )

@@ -10,6 +10,7 @@ call the same checks and large-time helpers, so each property is
 implemented here only.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from .constitutive import (
 from .domain import State, build_grid, make_initial_data
 from .errors import InsufficientHistory, WindowOutOfDomain
 from .functionals import (
+    WindowHistory,
     representation_check,
     temperature_envelope_check,
     theta_bound_from_Y,
@@ -187,8 +189,9 @@ def _check_energy_drift_convergence(spec, caps):
     )
 
 
-# Large-time properties of a run with stored states.  Each helper returns its
-# measured numbers; the tolerances below are the pass conditions.
+# Large-time properties of a run, read from its records and from what
+# _LargeTimeSamples keeps of its states.  Each helper returns its measured
+# numbers; the tolerances below are the pass conditions.
 PLATEAU_TOL = 0.05  # relative extremum drift between [T/4, T/2] and [T/2, T]
 Z_SLACK = 1e-12  # allowed z undershoot and max_z rise between samples
 GROWTH_TOL = 0.10  # second-half growth of X+Y and of the theta-bound ratio
@@ -212,13 +215,24 @@ def _plateau_drifts(res):
     return drifts
 
 
+class _LargeTimeSamples:
+    """What the large-time check keeps of each sampled state: the least z so
+    far and the rows of the k = 2 volume representation."""
+
+    def __init__(self, grid, params):
+        self.z_min = math.inf
+        self.window = WindowHistory(grid, params, 2)
+
+    def __call__(self, state):
+        self.z_min = min(self.z_min, float(np.min(state.z)))
+        self.window.append(state)
+
+
 def _confinement(res):
-    """(min z, max z) over the states, largest max_z rise, whether z_L1 strictly decreases."""
-    z_min = min(float(np.min(s.z)) for s in res.states)
-    z_max = max(float(np.max(s.z)) for s in res.states)
+    """Largest max_z rise between samples, and whether z_L1 strictly decreases."""
     max_z_rise = float(np.max(np.diff(res.column("max_z"))))
     z_l1_decreasing = bool(np.all(np.diff(res.column("z_L1")) < 0))
-    return z_min, z_max, max_z_rise, z_l1_decreasing
+    return max_z_rise, z_l1_decreasing
 
 
 def _functional_growth(res):
@@ -233,31 +247,32 @@ def _functional_growth(res):
 
 
 def _envelope(res):
-    """Lower-envelope constant from every stored state and from every other one."""
-    return temperature_envelope_check(res.states), temperature_envelope_check(res.states[::2])
+    """Lower-envelope constant from every sample and from every other one."""
+    return temperature_envelope_check(res.records), temperature_envelope_check(res.records[::2])
 
 
-def _representation(res):
-    """k=2 representation error from every stored state and from every other one."""
-    spec = res.spec
-    fine = representation_check(res.states, res.grid, spec.params, 2, spec.T_end)
-    coarse = representation_check(res.states[::2], res.grid, spec.params, 2, spec.T_end)
+def _representation(window, t):
+    """Representation error at time t from every sample and from every other one."""
+    fine = representation_check(window, t)
+    coarse = representation_check(window.every(2), t)
     return fine.max_rel_error, coarse.max_rel_error
 
 
 def _check_large_time(config):
-    res = run_simulation(config.scenario, sample_cadence=min(config.sample_cadence, 0.05),
-                         keep_states=True)
+    spec = config.scenario
+    samples = _LargeTimeSamples(build_grid(spec.L, spec.N), spec.params)
+    res = run_simulation(spec, sample_cadence=min(config.sample_cadence, 0.05),
+                         on_sample=samples)
     problems = []
 
     for col, drift in _plateau_drifts(res).items():
         if not drift < PLATEAU_TOL:
             problems.append(f"{col} window drift {drift:.1%}")
 
-    z_min, _, max_z_rise, z_l1_decreasing = _confinement(res)
+    max_z_rise, z_l1_decreasing = _confinement(res)
     if not max_z_rise <= Z_SLACK:
         problems.append("max_z increased between samples")
-    if z_min < -Z_SLACK:
+    if samples.z_min < -Z_SLACK:
         problems.append("reactant fraction went negative")
     if not z_l1_decreasing:
         problems.append("z_L1 not strictly decreasing")
@@ -273,7 +288,7 @@ def _check_large_time(config):
         problems.append(f"envelope constant {env:.3f} unstable or too small")
 
     try:
-        fine, coarse = _representation(res)
+        fine, coarse = _representation(samples.window, spec.T_end)
         if not fine < REPRESENTATION_TOL:
             problems.append(f"representation error {fine:.2e}")
         if fine > REPRESENTATION_HALVING * coarse:

@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from conftest import CONFIGS
 
 from radgas import verify_suite as vs
@@ -21,6 +22,15 @@ from radgas.verification import oracle_compare
 # frozen fine-grid regression values: canonical scenario, N=256 vs N=1024,
 # T=5, max-norm discrepancy per field (recorded from a converged build)
 FROZEN_ORACLE_LINF = {"v": 4.136512e-4, "u": 3.626726e-5, "theta": 9.733443e-5, "z": 2.883140e-6}
+
+
+@pytest.fixture(scope="module")
+def canonical_samples(canonical_run):
+    """What verify's large-time check keeps of the canonical states, by the same fold."""
+    samples = vs._LargeTimeSamples(canonical_run.grid, canonical_run.spec.params)
+    for state in canonical_run.states:
+        samples(state)
+    return samples
 
 
 def _criterion(num, name, ok, detail):
@@ -79,8 +89,10 @@ def test_c02_species_balance_identity(canonical_run):
                f"relative residual {residual:.3e} (tol 1e-10)")
 
 
-def test_c03_species_confinement(canonical_run):
-    z_min, z_max, max_z_rise, _ = vs._confinement(canonical_run)
+def test_c03_species_confinement(canonical_run, canonical_samples):
+    z_min = canonical_samples.z_min
+    z_max = float(np.max(canonical_run.column("max_z")))
+    max_z_rise, _ = vs._confinement(canonical_run)
     monotone = max_z_rise <= vs.Z_SLACK
     ok = z_min >= -vs.Z_SLACK and z_max <= 1.0 + vs.Z_SLACK and monotone
     _criterion(3, "species confinement and monotone maximum", ok,
@@ -108,7 +120,7 @@ def test_c06_decay_toward_equilibrium(canonical_run):
         frac = float(series[-1] / np.max(series))
         ok = ok and frac < 0.5
         checks.append(f"{key} final/max {frac:.1%}")
-    strictly_down = vs._confinement(canonical_run)[3]
+    strictly_down = vs._confinement(canonical_run)[1]
     ok = ok and strictly_down
     checks.append(f"z_L1 strictly decreasing {strictly_down}")
     _criterion(6, "decay toward the rest state", ok, ", ".join(checks))
@@ -122,8 +134,8 @@ def test_c07_functional_boundedness(canonical_run):
                f"(tol {vs.GROWTH_TOL:.0%})")
 
 
-def test_c08_volume_representation(canonical_run):
-    fine, coarse = vs._representation(canonical_run)
+def test_c08_volume_representation(canonical_run, canonical_samples):
+    fine, coarse = vs._representation(canonical_samples.window, canonical_run.spec.T_end)
     ok = fine < vs.REPRESENTATION_TOL and fine <= vs.REPRESENTATION_HALVING * coarse
     _criterion(8, "volume representation on the k=2 window", ok,
                f"error {fine:.2e} (tol {vs.REPRESENTATION_TOL:g}), halving check "

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,42 @@ def test_output_dir_override(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "override" / "diagnostics.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_failed_write_exits_1_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "w"
+    (out / "report.txt").mkdir(parents=True)
+    assert main(["run", write_config(tmp_path, SMALL_SCENARIO.format(out=out))]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:"), err
+    assert not list(out.glob("*.tmp-*"))
+
+
+def test_run_memory_does_not_grow_with_grid_times_samples(tmp_path):
+    """Of each sample a run keeps its record and probe-window rows, not its state.
+
+    Peak traced memory of an N = 512 run grows by less than a quarter of one
+    state, (4N+1) * 8 bytes, per extra sample when the horizon is quadrupled
+    at the same cadence.
+    """
+    N = 512
+    text = SMALL_SCENARIO.replace("N = 64", f"N = {N}").replace("L = 10.0", "L = 20.0")
+    text = text.replace("sample_cadence = 0.1", "sample_cadence = 0.005")
+    text = text.replace("probes = 0, 2", "probes = 0").replace("emit_snapshots = true", "")
+    peaks, samples = [], []
+    for T_end in (0.1, 0.4):
+        out = tmp_path / f"T{T_end:g}"
+        cfg = write_config(tmp_path, text.replace("T_end = 0.5", f"T_end = {T_end}")
+                           .format(out=out))
+        tracemalloc.start()
+        try:
+            assert run_command(cfg) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        samples.append(len((out / "diagnostics.csv").read_text().splitlines()) - 1)
+    per_sample = (peaks[1] - peaks[0]) / (samples[1] - samples[0])
+    assert per_sample < (4 * N + 1) * 8 / 4, f"{per_sample:.0f} bytes per extra sample"
 
 
 SWEEP_TAIL = """

@@ -5,15 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from radgas.constitutive import GasParameters
+from radgas.constitutive import GasParameters, pressure
 from radgas.domain import ScenarioSpec, State, build_grid
 from radgas.errors import ConfigError, InsufficientHistory, WindowOutOfDomain
+from radgas.cli import _NearestSamples
 from radgas.functionals import (
+    WindowHistory,
+    _cutoff,
+    _strip_weights,
+    _suffix_trapezoid,
+    _u_on_cells,
+    _window_cells,
     accumulate_XY,
     conserved_quantities,
     dissipation_rate,
     entropy_energy,
     interval_probe,
+    make_record,
     norms,
     oscillation_ratio,
     representation_check,
@@ -28,6 +36,10 @@ PARAMS = GasParameters()
 def equilibrium_state(grid, t=0.0):
     return State(t, np.ones(grid.N), np.ones(grid.N), np.zeros(grid.N),
                  np.zeros(grid.N + 1))
+
+
+def _record(state, grid):
+    return make_record(state, grid, PARAMS, 0.0, 0.0)[0]
 
 
 def test_conserved_quantities_equilibrium():
@@ -207,7 +219,7 @@ def test_representation_equilibrium_reconstruction():
     """At rest the reconstruction collapses to a closed form equal to 1."""
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=1.0)
     res = run_simulation(spec, sample_cadence=0.005, keep_states=True)
-    probe = representation_check(res.states, res.grid, PARAMS, 2, 1.0)
+    probe = representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 1.0)
     p_rest = PARAMS.R + PARAMS.a / 3.0
     assert probe.Q == pytest.approx(math.exp(-p_rest * 1.0 / PARAMS.mu), rel=1e-6)
     assert np.max(np.abs(probe.B - 1.0)) < 1e-14
@@ -218,7 +230,7 @@ def test_representation_at_time_zero_returns_initial_volume():
     spec = ScenarioSpec(amplitude_v=0.1, amplitude_u=0.1, amplitude_theta=0.2,
                         amplitude_z=0.5, L=10.0, N=128, T_end=0.2)
     res = run_simulation(spec, sample_cadence=0.1, keep_states=True)
-    probe = representation_check(res.states, res.grid, PARAMS, 2, 0.0)
+    probe = representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 0.0)
     idx = np.nonzero(np.abs(res.grid.cell_centers) <= 3.0)[0]
     assert np.max(np.abs(probe.v_reconstructed - res.states[0].v[idx])) < 1e-14
 
@@ -227,19 +239,19 @@ def test_representation_window_and_history_guards():
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=0.2)
     res = run_simulation(spec, sample_cadence=0.1, keep_states=True)
     with pytest.raises(WindowOutOfDomain):
-        representation_check(res.states, res.grid, PARAMS, 9, 0.2)
+        representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 9), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(res.states[:1], res.grid, PARAMS, 2, 0.2)
+        representation_check(WindowHistory.of(res.states[:1], res.grid, PARAMS, 2), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(res.states, res.grid, PARAMS, 2, 5.0)
+        representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 5.0)
 
 
 def test_temperature_envelope_trivial_histories():
     grid = build_grid(10.0, 64)
-    states = [equilibrium_state(grid, t=0.5 * i) for i in range(4)]
-    assert temperature_envelope_check(states) >= 1.0
+    records = [_record(equilibrium_state(grid, t=0.5 * i), grid) for i in range(4)]
+    assert temperature_envelope_check(records) >= 1.0
     with pytest.raises(InsufficientHistory):
-        temperature_envelope_check(states[:1])
+        temperature_envelope_check(records[:1])
 
 
 def test_temperature_envelope_bounded_below_by_cold_floor():
@@ -253,7 +265,93 @@ def test_temperature_envelope_bounded_below_by_cold_floor():
         dip = (0.6 - 0.08 * i) * np.exp(-grid.cell_centers**2)
         s.theta = 1.0 - np.clip(dip, 0.0, 1.0 - theta_min)
         states.append(s)
-    assert temperature_envelope_check(states) >= theta_min
+    assert temperature_envelope_check([_record(s, grid) for s in states]) >= theta_min
+
+
+def _envelope_from_states(states):
+    """The lower-envelope scan over whole states, as a reference."""
+    best = math.inf
+    worst_ratio = math.inf
+    for prev, s in zip(states[:-1], states[1:]):
+        best = min(best, 1.0 / float(np.min(prev.theta)) - prev.t)
+        worst_ratio = min(worst_ratio, float(np.min(s.theta)) * (s.t + best))
+    return worst_ratio
+
+
+def _representation_from_states(states, grid, params, k, t):
+    """The volume representation computed from whole states, as a reference:
+    (B, Q, v_reconstructed, max_rel_error)."""
+    times = np.array([s.t for s in states])
+    m_t = int(np.argmin(np.abs(times - t)))
+    idx = _window_cells(grid, k)
+    dx = grid.dx
+    cut = _cutoff(grid.cell_centers, k)
+    strip_w = _strip_weights(grid, k + 1.0, k + 2.0)
+    u0_c = _u_on_cells(states[0].u)
+    v0 = states[0].v
+    n_hist = m_t + 1
+    B = np.empty((n_hist, idx.size))
+    stress_integral = np.empty(n_hist)
+    for m in range(n_hist):
+        s = states[m]
+        w = (u0_c - _u_on_cells(s.u)) * cut
+        B[m] = v0[idx] * np.exp(_suffix_trapezoid(w, dx)[idx] / params.mu)
+        total_stress = params.mu * (np.diff(s.u) / dx) / s.v - pressure(params, s.v, s.theta)
+        stress_integral[m] = float(np.sum(total_stress * strip_w))
+    Q = np.empty(n_hist)
+    Q[0] = 1.0
+    acc = 0.0
+    for m in range(1, n_hist):
+        acc += 0.5 * (stress_integral[m - 1] + stress_integral[m]) * (times[m] - times[m - 1])
+        Q[m] = math.exp(acc / params.mu)
+    BQ_t = B[-1] * Q[-1]
+    integrand = np.empty((n_hist, idx.size))
+    for m in range(n_hist):
+        s = states[m]
+        integrand[m] = BQ_t * s.v[idx] * pressure(params, s.v[idx], s.theta[idx]) / (B[m] * Q[m])
+    time_int = np.zeros(idx.size)
+    for m in range(1, n_hist):
+        time_int += 0.5 * (integrand[m - 1] + integrand[m]) * (times[m] - times[m - 1])
+    v_rec = BQ_t + time_int / params.mu
+    v_true = states[m_t].v[idx]
+    return B[-1], float(Q[-1]), v_rec, float(np.max(np.abs(v_rec - v_true) / np.abs(v_true)))
+
+
+def test_streamed_history_functionals_equal_the_whole_state_forms(small_gaussian_spec):
+    """The envelope read from records, the representation folded from window
+    rows as the run samples, and the nearest-sample snapshot choice are bit
+    for bit what whole stored states give, at both cadences."""
+    spec = small_gaussian_spec
+    grid = build_grid(spec.L, spec.N)
+    windows = {k: WindowHistory(grid, spec.params, k) for k in (0, 2)}
+    requested = [0.0625, 0.3, 0.5, 5.0]
+    nearest = _NearestSamples(requested)
+
+    def sample(state):
+        nearest(state)
+        for window in windows.values():
+            window.append(state)
+
+    res = run_simulation(spec, sample_cadence=0.125, keep_states=True, on_sample=sample)
+    assert len(res.states) == len(res.records) == 9
+
+    for step in (1, 2):
+        assert (temperature_envelope_check(res.records[::step])
+                == _envelope_from_states(res.states[::step]))
+        for k, window in windows.items():
+            probe = representation_check(window.every(step), spec.T_end)
+            B, Q, v_rec, max_rel = _representation_from_states(
+                res.states[::step], grid, spec.params, k, spec.T_end)
+            assert np.array_equal(probe.B, B)
+            assert np.array_equal(probe.Q, Q)
+            assert np.array_equal(probe.v_reconstructed, v_rec)
+            assert np.array_equal(probe.max_rel_error, max_rel)
+
+    times = res.sample_times
+    assert abs(times[0] - 0.0625) == abs(times[1] - 0.0625)  # a tie
+    assert requested[-1] > times[-1]  # past T_end
+    for t, state in zip(requested, nearest.states):
+        assert state is res.states[int(np.argmin(np.abs(times - t)))]
 
 
 def test_theta_bound_from_Y_values():
