@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from radgas.cli import _NearestSamples
 from radgas.constitutive import GasParameters, pressure
 from radgas.domain import ScenarioSpec, State, build_grid
 from radgas.errors import ConfigError, InsufficientHistory, WindowOutOfDomain
-from radgas.cli import _NearestSamples
 from radgas.functionals import (
     WindowHistory,
     _cutoff,
