@@ -91,7 +91,7 @@ class ScenarioSpec:
             raise ConfigError("width must be > 0")
         if self.T_end <= 0:
             raise ConfigError("T_end must be > 0")
-        controls_for(self)  # StepControls owns the cfl, Picard and floor checks
+        controls = controls_for(self)  # StepControls owns the cfl, Picard and floor checks
         grid = build_grid(self.L, self.N)  # and build_grid the L and N checks
         state = make_initial_data(self, grid)
         report = validate_initial_data(state, grid)
@@ -102,6 +102,17 @@ class ScenarioSpec:
             if not values.min() > floor:
                 raise ConfigError(f"{name} = {floor:g} is not below the initial minimum "
                                   f"{values.min():.6g}")
+        # The first step's species update, halved down to dt_min / 2, must fit
+        # the subcycle cap, or every attempt is rejected (the integrator
+        # imports this module, so its names are imported here)
+        from .integrator import MAX_SUBCYCLES, _species_rates
+
+        with np.errstate(over="ignore"):
+            needed = _species_rates(state, grid, self.params, 0.5 * controls.dt_min)[3]
+        if not needed <= MAX_SUBCYCLES:
+            raise ConfigError(f"the species update needs {needed:.3g} subcycles even at "
+                              f"dt_min = {controls.dt_min:g} (at most {MAX_SUBCYCLES}); "
+                              f"K_react or d is too large")
 
 
 @dataclass(frozen=True)

@@ -122,52 +122,113 @@ def _thomas_solve(lower, diag, upper, rhs):
     return np.array(x)
 
 
-def _bind_dgtsv():
-    """LAPACK ``dgtsv`` (ILP64) from the OpenBLAS numpy already loaded, or None.
+def _bind_lapack(name, *argtypes):
+    """The ILP64 LAPACK routine ``name`` from the OpenBLAS numpy already loaded, or None.
 
     ``dlsym`` on numpy's linalg extension searches the libraries it links, so
-    no library path is needed.  ``PyDLL`` keeps the GIL held during the call:
-    a solve takes microseconds, and releasing and re-taking the GIL around
-    each one stalls the sweep's worker threads.
+    no library path is needed.  Every argument is declared in ``argtypes``,
+    so addresses pass as 64-bit pointers.  ``PyDLL`` keeps the GIL held
+    during the call: a solve takes microseconds, and releasing and re-taking
+    the GIL around each one stalls the sweep's worker threads.
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        fn = ctypes.PyDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+        fn = getattr(ctypes.PyDLL(_umath_linalg.__file__), f"scipy_{name}_64_")
     except (ImportError, OSError, AttributeError):
         return None
-    int_p = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = [int_p, int_p] + [ctypes.c_void_p] * 4 + [int_p, int_p]
+    fn.argtypes = argtypes
     fn.restype = None
     return fn
 
 
-_DGTSV = _bind_dgtsv()
+_INT = ctypes.POINTER(ctypes.c_int64)
+_PTR = ctypes.c_void_p
+# (n, nrhs, dl, d, du, b, ldb, info)
+_DGTSV = _bind_lapack("dgtsv", _INT, _INT, _PTR, _PTR, _PTR, _PTR, _INT, _INT)
+# (n, nrhs, d, e, b, ldb, info)
+_DPTSV = _bind_lapack("dptsv", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
+# (n, d, e, info)
+_DPTTRF = _bind_lapack("dpttrf", _INT, _PTR, _PTR, _INT)
+# (n, nrhs, d, e, b, ldb, info)
+_DPTTRS = _bind_lapack("dpttrs", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
 _ONE = ctypes.c_int64(1)
 
 
-def tridiagonal_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system with LAPACK ``dgtsv``.
+def _address(buf):
+    """Base address of a writable contiguous array; a fifth of the cost of ``buf.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
+def _factor_symmetric(off, diag):
+    """LAPACK ``dpttrf`` factors of the symmetric tridiagonal matrix, or None.
+
+    The matrix has diagonal ``diag`` and ``off`` on both off-diagonals.  The
+    factors L D L^T are packed as [d | e] in one array, for
+    ``tridiagonal_solve(off, diag, off, rhs, factors=...)``.  None when
+    numpy's BLAS lacks ``dpttrf``/``dpttrs`` or the matrix is not positive
+    definite; the solve then factors on its own.
+    """
+    if _DPTTRF is None or _DPTTRS is None:
+        return None
+    n = np.size(diag)
+    packed = np.concatenate((diag, off), dtype=np.float64)
+    base = _address(packed)
+    n_c = ctypes.c_int64(n)
+    info = ctypes.c_int64(0)
+    _DPTTRF(ctypes.byref(n_c), base, base + 8 * n, ctypes.byref(info))
+    return packed if info.value == 0 else None
+
+
+def tridiagonal_solve(lower, diag, upper, rhs, *, factors=None):
+    """Solve a tridiagonal system with LAPACK.
 
     ``lower`` and ``upper`` hold the n-1 off-diagonal entries, ``diag`` and
-    ``rhs`` the n diagonal/right-hand-side entries.  ``dgtsv`` is Gaussian
-    elimination with partial pivoting; it raises SingularMatrixError only on
-    an exactly zero pivot.  Callers normally guarantee strict diagonal
-    dominance, so this only fires on degenerate input.  Without ``dgtsv`` in
-    numpy's BLAS the Thomas algorithm (``_thomas_solve``) is used instead.
+    ``rhs`` the n diagonal/right-hand-side entries.  Each kind of system
+    reaches one routine:
+
+    * with ``factors`` from ``_factor_symmetric(lower, diag)``, ``dpttrs``
+      only solves with them;
+    * a symmetric system, passed with ``lower is upper``, goes to ``dptsv``
+      (L D L^T, which is ``dpttrf`` then ``dpttrs``); the integrator's
+      systems are all symmetric positive definite;
+    * any other system, or one that ``dptsv`` finds not positive definite,
+      goes to ``dgtsv``, Gaussian elimination with partial pivoting, which
+      raises SingularMatrixError only on an exactly zero pivot;
+    * without ``dgtsv`` in numpy's BLAS, the Thomas algorithm
+      (``_thomas_solve``) is used instead.
+
+    The caller's arrays are never written, and the solution owns its memory.
     """
-    if _DGTSV is None:
-        return _thomas_solve(lower, diag, upper, rhs)
     n = np.size(diag)
     if (np.shape(diag) != (n,) or np.shape(rhs) != (n,)
             or np.shape(lower) != (n - 1,) or np.shape(upper) != (n - 1,)):
         raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    n_c = ctypes.c_int64(n)
+    info = ctypes.c_int64(0)
+    if factors is not None:
+        if np.shape(factors) != (2 * n - 1,):
+            raise ConfigError("tridiagonal factors do not match the system")
+        fac = _address(factors)
+        x = np.array(rhs, dtype=np.float64)
+        _DPTTRS(ctypes.byref(n_c), ctypes.byref(_ONE), fac, fac + 8 * n, _address(x),
+                ctypes.byref(n_c), ctypes.byref(info))
+        return x
+    if lower is upper and _DPTSV is not None:
+        # dptsv overwrites its inputs, so they are copied into one buffer [d | e | b]
+        buf = np.concatenate((diag, lower, rhs), dtype=np.float64)
+        base = _address(buf)
+        _DPTSV(ctypes.byref(n_c), ctypes.byref(_ONE), base, base + 8 * n,
+               base + 8 * (2 * n - 1), ctypes.byref(n_c), ctypes.byref(info))
+        if info.value == 0:
+            # a compact copy, so the caller does not keep the whole buffer alive
+            return buf[2 * n - 1:].copy()
+    if _DGTSV is None:
+        return _thomas_solve(lower, diag, upper, rhs)
     # dgtsv overwrites all four arrays, so they are copied into one buffer
     # [dl | d | du | b] and passed as byte offsets from its base address
     buf = np.concatenate((lower, diag, upper, rhs), dtype=np.float64)
-    base = buf.ctypes.data
-    n_c = ctypes.c_int64(n)
-    info = ctypes.c_int64(0)
+    base = _address(buf)
     _DGTSV(
         ctypes.byref(n_c), ctypes.byref(_ONE),
         base, base + 8 * (n - 1), base + 8 * (2 * n - 1), base + 8 * (3 * n - 2),
@@ -175,7 +236,6 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     )
     if info.value > 0:
         raise SingularMatrixError(f"zero pivot at row {info.value - 1}")
-    # a compact copy, so the caller does not keep the whole buffer alive
     return buf[3 * n - 2:].copy()
 
 
@@ -359,6 +419,20 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     return State(state.t, v.copy(), th_star, z.copy(), state.u.copy()), iters
 
 
+def _species_rates(state, grid, params, dt):
+    """Rates of the species update over dt: (phi, a, rate_scale, needed).
+
+    ``phi`` is the reaction rate per cell, ``a`` the face coefficients of the
+    diffusion, ``rate_scale`` each row's a_i + a_{i+1} + phi_i, and ``needed``
+    the subcycle count, before rounding up, that keeps the explicit half of
+    each trapezoidal subcycle nonnegative.
+    """
+    phi = _reaction_rate(params, state.theta)
+    a = _face_coefficients(params.d / state.v**2, grid.dx)
+    rate_scale = a[:-1] + a[1:] + phi
+    return phi, a, rate_scale, 0.5 * dt * float(rate_scale.max())
+
+
 def _species_update(state, grid, params, dt, sources=None, t_start=None):
     """Trapezoidal reactant update subcycled to keep the maximum principle.
 
@@ -375,11 +449,7 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     """
     t0 = state.t if t_start is None else t_start
     dx = grid.dx
-    phi = _reaction_rate(params, state.theta)
-    a = _face_coefficients(params.d / state.v**2, dx)
-    rate_scale = a[:-1] + a[1:] + phi
-    lam_max = float(rate_scale.max())
-    needed = 0.5 * dt * lam_max
+    phi, a, rate_scale, needed = _species_rates(state, grid, params, dt)
     if not needed <= MAX_SUBCYCLES:
         raise ConvergenceError(
             f"species update needs {needed:.3g} subcycles (at most {MAX_SUBCYCLES})")
@@ -388,6 +458,8 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     diag = 1.0 / delta + 0.5 * rate_scale
     off = -0.5 * a[1:-1]
     half_phi = 0.5 * phi
+    # the matrix is the same in every subcycle, so it is factored once
+    factors = _factor_symmetric(off, diag)
 
     z = state.z
     consumed = 0.0
@@ -398,7 +470,7 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
                      + _source_eval(src_fn, tau + delta, grid.cell_centers))
         flux_z = _flux_divergence(z, a)
         rhs = z / delta + 0.5 * flux_z - half_phi * z + src
-        z_new = tridiagonal_solve(off, diag, off, rhs)
+        z_new = tridiagonal_solve(off, diag, off, rhs, factors=factors)
         consumed += delta * float((half_phi * (z + z_new)).sum()) * dx
         z = z_new
     return z, consumed

@@ -268,8 +268,8 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     assert fields[3] == "blowup"
 
 
-def test_huge_reaction_rate_exits_3_instead_of_hanging(tmp_path):
-    """K_react = 1e200 would need about 1e197 species subcycles; each attempt is rejected."""
+def test_huge_reaction_rate_is_refused_at_load(tmp_path):
+    """K_react = 1e200 would need about 1e187 species subcycles even at dt_min."""
     text = (Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg").read_text()
     for old, new in (("N = 512", "N = 32"), ("T_end = 20.0", "T_end = 0.2"),
                      ("K_react = 1.0", "K_react = 1e200")):
@@ -280,14 +280,15 @@ def test_huge_reaction_rate_exits_3_instead_of_hanging(tmp_path):
     out = subprocess.run([sys.executable, "-m", "radgas.cli", "run", cfg,
                           "--output-dir", str(tmp_path / "out")],
                          capture_output=True, text=True, env=env, timeout=60)
-    assert out.returncode == EXIT_BLOWUP
-    assert out.stderr.startswith("blow-up:") and out.stderr.count("\n") == 1
+    assert out.returncode == EXIT_CONFIG
+    assert out.stderr.startswith("config error:") and out.stderr.count("\n") == 1
     assert "subcycles" in out.stderr and "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):
     """A singular tridiagonal system ends a run, one sweep cell, or verify as a blow-up."""
-    def singular(*args):
+    def singular(*args, **kwargs):
         raise SingularMatrixError("zero pivot at row 3")
 
     monkeypatch.setattr(radgas.integrator, "tridiagonal_solve", singular)

@@ -254,10 +254,10 @@ def test_singular_solve_rejects_the_step(monkeypatch):
     solve = integrator.tridiagonal_solve
     failures = [SingularMatrixError("zero pivot at row 3")]
 
-    def fails_once(*args):
+    def fails_once(*args, **kwargs):
         if failures:
             raise failures.pop()
-        return solve(*args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(integrator, "tridiagonal_solve", fails_once)
     out = strang_step(state, grid, PARAMS, 0.01)
@@ -266,7 +266,7 @@ def test_singular_solve_rejects_the_step(monkeypatch):
 
 
 def test_singular_solve_every_time_blows_up(monkeypatch):
-    def singular(*args):
+    def singular(*args, **kwargs):
         raise SingularMatrixError("zero pivot at row 3")
 
     monkeypatch.setattr(integrator, "tridiagonal_solve", singular)

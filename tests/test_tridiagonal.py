@@ -2,11 +2,14 @@
 
 Every case runs on ``tridiagonal_solve`` (LAPACK ``dgtsv`` where numpy's
 BLAS exports it) and on the Thomas reference ``_thomas_solve``, its fallback.
+Symmetric systems, passed with ``lower is upper``, take the L D L^T path
+(``dptsv``, or ``dpttrs`` with factors from ``_factor_symmetric``).
 """
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from radgas.integrator import _thomas_solve, tridiagonal_solve
 
 SOLVERS = (tridiagonal_solve, _thomas_solve)
 needs_dgtsv = pytest.mark.skipif(integrator._DGTSV is None, reason="numpy's BLAS has no dgtsv")
+needs_dptsv = pytest.mark.skipif(
+    None in (integrator._DPTSV, integrator._DPTTRF, integrator._DPTTRS),
+    reason="numpy's BLAS has no dptsv, dpttrf or dpttrs")
 
 
 def _random_dominant_system(rng, n):
@@ -26,6 +32,14 @@ def _random_dominant_system(rng, n):
     diag = 3.0 + rng.uniform(0, 1, n)
     rhs = rng.uniform(-5, 5, n)
     return lower, diag, upper, rhs
+
+
+def _random_spd_system(rng, n):
+    """Symmetric, strictly diagonally dominant with a positive diagonal, like the integrator's."""
+    off = -rng.uniform(0, 1, n - 1)
+    diag = 2.5 + rng.uniform(0, 1, n)
+    rhs = rng.uniform(-5, 5, n)
+    return off, diag, rhs
 
 
 def test_identity_system():
@@ -132,3 +146,118 @@ def test_stepping_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@needs_dptsv
+def test_symmetric_systems_match_dense_and_thomas():
+    rng = np.random.default_rng(3)
+    for n in (2, 50, 511):
+        off, diag, rhs = _random_spd_system(rng, n)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        expected = np.linalg.solve(dense, rhs)
+        got = tridiagonal_solve(off, diag, off, rhs)
+        assert np.max(np.abs(got - expected)) <= 1e-13
+        assert np.max(np.abs(got - _thomas_solve(off, diag, off, rhs))) <= 1e-13
+
+
+@needs_dptsv
+def test_indefinite_symmetric_system_falls_back_to_dgtsv():
+    # [[1, 1], [1, -1]] is regular but not positive definite, so dptsv stops on it
+    off = np.array([1.0])
+    diag = np.array([1.0, -1.0])
+    rhs = np.array([3.0, 1.0])
+    x = tridiagonal_solve(off, diag, off, rhs)
+    assert np.array_equal(x, tridiagonal_solve(off.copy(), diag, off, rhs))
+    assert x == pytest.approx([2.0, 1.0])
+    assert integrator._factor_symmetric(off, diag) is None
+    # a symmetric matrix that is singular still raises
+    with pytest.raises(SingularMatrixError):
+        tridiagonal_solve(off, np.array([1.0, 1.0]), off, rhs)
+
+
+@needs_dptsv
+def test_factored_solve_is_bit_identical_to_unfactored():
+    rng = np.random.default_rng(17)
+    for n in (1, 64, 2048):
+        off, diag, _ = _random_spd_system(rng, n)
+        factors = integrator._factor_symmetric(off, diag)
+        assert factors is not None
+        for _ in range(50):
+            rhs = rng.uniform(-5, 5, n)
+            assert np.array_equal(tridiagonal_solve(off, diag, off, rhs, factors=factors),
+                                  tridiagonal_solve(off, diag, off, rhs))
+
+
+@needs_dptsv
+def test_factors_must_match_the_system():
+    rng = np.random.default_rng(5)
+    off, diag, rhs = _random_spd_system(rng, 16)
+    factors = integrator._factor_symmetric(off[:-1], diag[:-1])
+    with pytest.raises(ConfigError):
+        tridiagonal_solve(off, diag, off, rhs, factors=factors)
+
+
+@needs_dgtsv
+@needs_dptsv
+def test_without_ldlt_routines_symmetric_systems_use_dgtsv(monkeypatch):
+    rng = np.random.default_rng(9)
+    off, diag, rhs = _random_spd_system(rng, 300)
+    general = tridiagonal_solve(off.copy(), diag, off, rhs)  # lower is not upper: dgtsv
+    assert not np.array_equal(general, tridiagonal_solve(off, diag, off, rhs))
+    for name in ("_DPTSV", "_DPTTRF", "_DPTTRS"):
+        monkeypatch.setattr(integrator, name, None)
+    assert integrator._factor_symmetric(off, diag) is None
+    assert np.array_equal(tridiagonal_solve(off, diag, off, rhs), general)
+
+
+@needs_dptsv
+def test_symmetric_paths_leave_inputs_alone_and_own_their_memory():
+    rng = np.random.default_rng(11)
+    off, diag, rhs = _random_spd_system(rng, 128)
+    inputs = [a.copy() for a in (off, diag, rhs)]
+    factors = integrator._factor_symmetric(off, diag)
+    packed = factors.copy()
+    for x in (tridiagonal_solve(off, diag, off, rhs),
+              tridiagonal_solve(off, diag, off, rhs, factors=factors)):
+        assert x.base is None and x.shape == (128,)
+        assert not any(np.shares_memory(x, a) for a in (off, diag, rhs, factors))
+    for before, after in zip(inputs, (off, diag, rhs)):
+        assert np.array_equal(before, after)
+    assert np.array_equal(packed, factors)
+
+
+@needs_dptsv
+def test_threads_solving_symmetric_systems_share_no_buffer():
+    """The sweep runs cells in threads; concurrent solves must not see each other's data."""
+    rng = np.random.default_rng(23)
+    n = 1024
+    systems = [_random_spd_system(rng, n) for _ in range(2)]
+    serial = []
+    for off, diag, rhs in systems:
+        factors = integrator._factor_symmetric(off, diag)
+        serial.append((tridiagonal_solve(off, diag, off, rhs),
+                       tridiagonal_solve(off, diag, off, rhs, factors=factors)))
+    mismatches = []
+    start = threading.Barrier(len(systems))
+
+    def solve_many(k):
+        off, diag, rhs = systems[k]
+        start.wait()
+        for _ in range(300):
+            factors = integrator._factor_symmetric(off, diag)
+            got = (tridiagonal_solve(off, diag, off, rhs),
+                   tridiagonal_solve(off, diag, off, rhs, factors=factors))
+            if not all(np.array_equal(g, s) for g, s in zip(got, serial[k])):
+                mismatches.append(k)
+
+    threads = [threading.Thread(target=solve_many, args=(k,)) for k in range(len(systems))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared buffer would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
