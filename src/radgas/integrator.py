@@ -207,7 +207,7 @@ def tridiagonal_solve(lower, diag, upper, rhs, *, factors=None):
     n_c = ctypes.c_int64(n)
     info = ctypes.c_int64(0)
     if factors is not None:
-        if np.shape(factors) != (2 * n - 1,):
+        if factors.shape != (2 * n - 1,) or factors.dtype != np.float64:
             raise ConfigError("tridiagonal factors do not match the system")
         fac = _address(factors)
         x = np.array(rhs, dtype=np.float64)

@@ -192,9 +192,10 @@ def test_factored_solve_is_bit_identical_to_unfactored():
 def test_factors_must_match_the_system():
     rng = np.random.default_rng(5)
     off, diag, rhs = _random_spd_system(rng, 16)
-    factors = integrator._factor_symmetric(off[:-1], diag[:-1])
-    with pytest.raises(ConfigError):
-        tridiagonal_solve(off, diag, off, rhs, factors=factors)
+    for factors in (integrator._factor_symmetric(off[:-1], diag[:-1]),
+                    integrator._factor_symmetric(off, diag).astype(np.float32)):
+        with pytest.raises(ConfigError):
+            tridiagonal_solve(off, diag, off, rhs, factors=factors)
 
 
 @needs_dgtsv
@@ -228,10 +229,12 @@ def test_symmetric_paths_leave_inputs_alone_and_own_their_memory():
 
 @needs_dptsv
 def test_threads_solving_symmetric_systems_share_no_buffer():
-    """The sweep runs cells in threads; concurrent solves must not see each other's data."""
+    """The sweep runs cells in threads; concurrent solves must not see each other's data.
+
+    Four threads, more than a two-CPU host has, each on its own system of the same n."""
     rng = np.random.default_rng(23)
     n = 1024
-    systems = [_random_spd_system(rng, n) for _ in range(2)]
+    systems = [_random_spd_system(rng, n) for _ in range(4)]
     serial = []
     for off, diag, rhs in systems:
         factors = integrator._factor_symmetric(off, diag)
@@ -242,8 +245,8 @@ def test_threads_solving_symmetric_systems_share_no_buffer():
 
     def solve_many(k):
         off, diag, rhs = systems[k]
-        start.wait()
-        for _ in range(300):
+        start.wait(timeout=30)
+        for _ in range(150):
             factors = integrator._factor_symmetric(off, diag)
             got = (tridiagonal_solve(off, diag, off, rhs),
                    tridiagonal_solve(off, diag, off, rhs, factors=factors))
@@ -257,7 +260,8 @@ def test_threads_solving_symmetric_systems_share_no_buffer():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert mismatches == []
