@@ -107,7 +107,7 @@ class ScenarioSpec:
         # imports this module, so its names are imported here)
         from .integrator import MAX_SUBCYCLES, _species_rates
 
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             needed = _species_rates(state, grid, self.params, 0.5 * controls.dt_min)[3]
         if not needed <= MAX_SUBCYCLES:
             raise ConfigError(f"the species update needs {needed:.3g} subcycles even at "
