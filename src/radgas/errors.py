@@ -18,7 +18,7 @@ class BlowUpError(RuntimeError):
 
 
 class SingularMatrixError(RuntimeError):
-    """Tridiagonal elimination hit a vanishing pivot."""
+    """A tridiagonal matrix is not positive definite: its elimination met a pivot <= 0."""
 
 
 class WindowOutOfDomain(ValueError):

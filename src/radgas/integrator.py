@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 Z_BOUND_TOL = 1e-12
-_PIVOT_FLOOR = 1e-300
 # Most species subcycles one update may take; more rejects the step, which
 # halves dt.  Tier-1 and the benchmark workloads need at most 34.
 MAX_SUBCYCLES = 10_000
@@ -85,36 +84,48 @@ class StepOutcome:
     species_consumed: float = 0.0
 
 
-def _thomas_solve(lower, diag, upper, rhs):
-    """Thomas algorithm: forward elimination and back substitution.
+def _order(off, diag, *vectors):
+    """The order n of the tridiagonal system, after checking every length against it.
+
+    ``off`` must hold n - 1 entries; ``diag`` and each of ``vectors`` n.
+    """
+    n = np.size(diag)
+    if np.shape(off) != (n - 1,) or any(np.shape(a) != (n,) for a in (diag, *vectors)):
+        raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    return n
+
+
+def _not_positive_definite(row):
+    return SingularMatrixError(f"matrix not positive definite: pivot at row {row} is not > 0")
+
+
+def _thomas_solve(off, diag, rhs):
+    """Thomas algorithm for the symmetric system: forward elimination, back substitution.
 
     The reference for ``tridiagonal_solve`` and its fallback when numpy's
-    BLAS exports no ``dgtsv``.  Pivots are not exchanged; a pivot magnitude
-    below 1e-300 raises SingularMatrixError.
+    BLAS lacks the LAPACK routines.  Its pivots are the D of L D L^T, so, as
+    in ``dpttrf``, a pivot <= 0 raises SingularMatrixError.
     """
+    n = _order(off, diag, rhs)
     d = np.asarray(diag, dtype=float).tolist()
     r = np.asarray(rhs, dtype=float).tolist()
-    lo = np.asarray(lower, dtype=float).tolist()
-    up = np.asarray(upper, dtype=float).tolist()
-    n = len(d)
-    if len(r) != n or len(lo) != n - 1 or len(up) != n - 1:
-        raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    e = np.asarray(off, dtype=float).tolist()
 
     cp = [0.0] * n
     rp = [0.0] * n
     piv = d[0]
-    if abs(piv) < _PIVOT_FLOOR:
-        raise SingularMatrixError("zero pivot at row 0")
+    if piv <= 0.0:
+        raise _not_positive_definite(0)
     if n > 1:
-        cp[0] = up[0] / piv
+        cp[0] = e[0] / piv
     rp[0] = r[0] / piv
     for i in range(1, n):
-        piv = d[i] - lo[i - 1] * cp[i - 1]
-        if abs(piv) < _PIVOT_FLOOR:
-            raise SingularMatrixError(f"zero pivot at row {i}")
+        piv = d[i] - e[i - 1] * cp[i - 1]
+        if piv <= 0.0:
+            raise _not_positive_definite(i)
         if i < n - 1:
-            cp[i] = up[i] / piv
-        rp[i] = (r[i] - lo[i - 1] * rp[i - 1]) / piv
+            cp[i] = e[i] / piv
+        rp[i] = (r[i] - e[i - 1] * rp[i - 1]) / piv
     x = [0.0] * n
     x[n - 1] = rp[n - 1]
     for i in range(n - 2, -1, -1):
@@ -144,8 +155,6 @@ def _bind_lapack(name, *argtypes):
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _PTR = ctypes.c_void_p
-# (n, nrhs, dl, d, du, b, ldb, info)
-_DGTSV = _bind_lapack("dgtsv", _INT, _INT, _PTR, _PTR, _PTR, _PTR, _INT, _INT)
 # (n, nrhs, d, e, b, ldb, info)
 _DPTSV = _bind_lapack("dptsv", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
 # (n, d, e, info)
@@ -161,49 +170,42 @@ def _address(buf):
 
 
 def _factor_symmetric(off, diag):
-    """LAPACK ``dpttrf`` factors of the symmetric tridiagonal matrix, or None.
+    """LAPACK ``dpttrf`` factors of the symmetric positive definite tridiagonal matrix.
 
     The matrix has diagonal ``diag`` and ``off`` on both off-diagonals.  The
     factors L D L^T are packed as [d | e] in one array, for
-    ``tridiagonal_solve(off, diag, off, rhs, factors=...)``.  None when
-    numpy's BLAS lacks ``dpttrf``/``dpttrs`` or the matrix is not positive
-    definite; the solve then factors on its own.
+    ``tridiagonal_solve(off, diag, rhs, factors=...)``.  A matrix that is not
+    positive definite raises SingularMatrixError.  None when numpy's BLAS
+    lacks ``dpttrf``/``dpttrs``; the solve then runs without factors.
     """
+    n = _order(off, diag)
     if _DPTTRF is None or _DPTTRS is None:
         return None
-    n = np.size(diag)
+    # dpttrf overwrites d and e, so they are copied into one buffer
     packed = np.concatenate((diag, off), dtype=np.float64)
     base = _address(packed)
-    n_c = ctypes.c_int64(n)
     info = ctypes.c_int64(0)
-    _DPTTRF(ctypes.byref(n_c), base, base + 8 * n, ctypes.byref(info))
-    return packed if info.value == 0 else None
+    _DPTTRF(ctypes.byref(ctypes.c_int64(n)), base, base + 8 * n, ctypes.byref(info))
+    if info.value > 0:
+        raise _not_positive_definite(info.value - 1)
+    return packed
 
 
-def tridiagonal_solve(lower, diag, upper, rhs, *, factors=None):
-    """Solve a tridiagonal system with LAPACK.
+def tridiagonal_solve(off, diag, rhs, *, factors=None):
+    """Solve a symmetric positive definite tridiagonal system with LAPACK.
 
-    ``lower`` and ``upper`` hold the n-1 off-diagonal entries, ``diag`` and
-    ``rhs`` the n diagonal/right-hand-side entries.  Each kind of system
-    reaches one routine:
-
-    * with ``factors`` from ``_factor_symmetric(lower, diag)``, ``dpttrs``
-      only solves with them;
-    * a symmetric system, passed with ``lower is upper``, goes to ``dptsv``
-      (L D L^T, which is ``dpttrf`` then ``dpttrs``); the integrator's
-      systems are all symmetric positive definite;
-    * any other system, or one that ``dptsv`` finds not positive definite,
-      goes to ``dgtsv``, Gaussian elimination with partial pivoting, which
-      raises SingularMatrixError only on an exactly zero pivot;
-    * without ``dgtsv`` in numpy's BLAS, the Thomas algorithm
-      (``_thomas_solve``) is used instead.
+    ``off`` holds the n-1 entries of both off-diagonals, ``diag`` and
+    ``rhs`` the n diagonal/right-hand-side entries.  Every system the
+    integrator builds is of this kind.  With ``factors`` from
+    ``_factor_symmetric(off, diag)`` only ``dpttrs`` runs; without them
+    ``dptsv`` (``dpttrf`` then ``dpttrs``, so both give the same bits).
+    Without these routines in numpy's BLAS, the Thomas algorithm
+    (``_thomas_solve``) is used instead.  A matrix that is not positive
+    definite raises SingularMatrixError on every route.
 
     The caller's arrays are never written, and the solution owns its memory.
     """
-    n = np.size(diag)
-    if (np.shape(diag) != (n,) or np.shape(rhs) != (n,)
-            or np.shape(lower) != (n - 1,) or np.shape(upper) != (n - 1,)):
-        raise ConfigError("tridiagonal arrays have inconsistent lengths")
+    n = _order(off, diag, rhs)
     n_c = ctypes.c_int64(n)
     info = ctypes.c_int64(0)
     if factors is not None:
@@ -214,29 +216,17 @@ def tridiagonal_solve(lower, diag, upper, rhs, *, factors=None):
         _DPTTRS(ctypes.byref(n_c), ctypes.byref(_ONE), fac, fac + 8 * n, _address(x),
                 ctypes.byref(n_c), ctypes.byref(info))
         return x
-    if lower is upper and _DPTSV is not None:
-        # dptsv overwrites its inputs, so they are copied into one buffer [d | e | b]
-        buf = np.concatenate((diag, lower, rhs), dtype=np.float64)
-        base = _address(buf)
-        _DPTSV(ctypes.byref(n_c), ctypes.byref(_ONE), base, base + 8 * n,
-               base + 8 * (2 * n - 1), ctypes.byref(n_c), ctypes.byref(info))
-        if info.value == 0:
-            # a compact copy, so the caller does not keep the whole buffer alive
-            return buf[2 * n - 1:].copy()
-    if _DGTSV is None:
-        return _thomas_solve(lower, diag, upper, rhs)
-    # dgtsv overwrites all four arrays, so they are copied into one buffer
-    # [dl | d | du | b] and passed as byte offsets from its base address
-    buf = np.concatenate((lower, diag, upper, rhs), dtype=np.float64)
+    if _DPTSV is None:
+        return _thomas_solve(off, diag, rhs)
+    # dptsv overwrites its inputs, so they are copied into one buffer [d | e | b]
+    buf = np.concatenate((diag, off, rhs), dtype=np.float64)
     base = _address(buf)
-    _DGTSV(
-        ctypes.byref(n_c), ctypes.byref(_ONE),
-        base, base + 8 * (n - 1), base + 8 * (2 * n - 1), base + 8 * (3 * n - 2),
-        ctypes.byref(n_c), ctypes.byref(info),
-    )
+    _DPTSV(ctypes.byref(n_c), ctypes.byref(_ONE), base, base + 8 * n,
+           base + 8 * (2 * n - 1), ctypes.byref(n_c), ctypes.byref(info))
     if info.value > 0:
-        raise SingularMatrixError(f"zero pivot at row {info.value - 1}")
-    return buf[3 * n - 2:].copy()
+        raise _not_positive_definite(info.value - 1)
+    # a compact copy, so the caller does not keep the whole buffer alive
+    return buf[2 * n - 1:].copy()
 
 
 def _check_finite(state, names=("v", "theta", "z", "u")):
@@ -317,7 +307,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     diag = 1.0 + 0.5 * h * (w[:-1] + w[1:])
     off = -0.5 * h * w[1:-1]
     u_new = np.zeros_like(u)
-    u_new[1:-1] = tridiagonal_solve(off, diag, off, rhs)
+    u_new[1:-1] = tridiagonal_solve(off, diag, rhs)
 
     sv2 = _source_eval(getattr(sources, "Sv", None), t0 + 0.75 * h, grid.cell_centers)
     v_new = v_half + 0.5 * h * ((u_new[1:] - u_new[:-1]) / dx + sv2)
@@ -400,7 +390,7 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
         off = -0.5 * a_new[1:-1]
         rhs = e_chord * th_old / h + half_flux_old + 0.5 * (src_old + src_new)
 
-        th_next = tridiagonal_solve(off, diag, off, rhs)
+        th_next = tridiagonal_solve(off, diag, rhs)
         if not th_next.min() > 0.0:
             raise ConvergenceError("temperature iterate left the positive cone")
         change = float(np.abs(th_next - th_star).max())
@@ -470,7 +460,7 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
                      + _source_eval(src_fn, tau + delta, grid.cell_centers))
         flux_z = _flux_divergence(z, a)
         rhs = z / delta + 0.5 * flux_z - half_phi * z + src
-        z_new = tridiagonal_solve(off, diag, off, rhs, factors=factors)
+        z_new = tridiagonal_solve(off, diag, rhs, factors=factors)
         consumed += delta * float((half_phi * (z + z_new)).sum()) * dx
         z = z_new
     return z, consumed

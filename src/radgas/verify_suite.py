@@ -112,13 +112,14 @@ def _check_tridiagonal(rng):
     worst = 0.0
     for _ in range(5):
         n = 50
-        lower = rng.uniform(-1.0, 1.0, n - 1)
-        upper = rng.uniform(-1.0, 1.0, n - 1)
+        # the symmetric part of two random off-diagonals; |off| < 1 keeps the
+        # diagonal (>= 3) strictly dominant, so the system is positive definite
+        off = 0.5 * (rng.uniform(-1.0, 1.0, n - 1) + rng.uniform(-1.0, 1.0, n - 1))
         diag = 3.0 + rng.uniform(0.0, 1.0, n)
         rhs = rng.uniform(-5.0, 5.0, n)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         ref = np.linalg.solve(dense, rhs)
-        got = tridiagonal_solve(lower, diag, upper, rhs)
+        got = tridiagonal_solve(off, diag, rhs)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     return worst < 1e-10, f"max deviation from dense solve {worst:.2e} (tol 1e-10)"
 

@@ -248,21 +248,25 @@ def test_strang_blowup_after_repeated_rejection():
 
 
 def test_singular_solve_rejects_the_step(monkeypatch):
-    """One singular tridiagonal system discards the attempt and halves dt."""
+    """One tridiagonal matrix that is not positive definite, met by a solve or
+    by factoring the species matrix, discards the attempt and halves dt."""
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid)
-    solve = integrator.tridiagonal_solve
-    failures = [SingularMatrixError("zero pivot at row 3")]
+    for name in ("tridiagonal_solve", "_factor_symmetric"):
+        real = getattr(integrator, name)
+        failures = [SingularMatrixError("zero pivot at row 3")]
 
-    def fails_once(*args, **kwargs):
-        if failures:
-            raise failures.pop()
-        return solve(*args, **kwargs)
+        def fails_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(integrator, "tridiagonal_solve", fails_once)
-    out = strang_step(state, grid, PARAMS, 0.01)
-    assert out.rejected_count == 1
-    assert out.dt_used == 0.005
+        with monkeypatch.context() as patch:
+            patch.setattr(integrator, name, fails_once)
+            out = strang_step(state, grid, PARAMS, 0.01)
+        assert not failures, name
+        assert out.rejected_count == 1, name
+        assert out.dt_used == 0.005, name
 
 
 def test_singular_solve_every_time_blows_up(monkeypatch):

@@ -1,9 +1,8 @@
-"""Tridiagonal solvers against hand cases and a dense oracle.
+"""The symmetric positive definite tridiagonal solvers against hand cases and a dense oracle.
 
-Every case runs on ``tridiagonal_solve`` (LAPACK ``dgtsv`` where numpy's
-BLAS exports it) and on the Thomas reference ``_thomas_solve``, its fallback.
-Symmetric systems, passed with ``lower is upper``, take the L D L^T path
-(``dptsv``, or ``dpttrs`` with factors from ``_factor_symmetric``).
+Every case runs on ``tridiagonal_solve`` (LAPACK ``dptsv``, or ``dpttrs``
+with factors from ``_factor_symmetric``, where numpy's BLAS exports them)
+and on the Thomas reference ``_thomas_solve``, its fallback.
 """
 
 import os
@@ -20,18 +19,9 @@ from radgas.errors import ConfigError, SingularMatrixError
 from radgas.integrator import _thomas_solve, tridiagonal_solve
 
 SOLVERS = (tridiagonal_solve, _thomas_solve)
-needs_dgtsv = pytest.mark.skipif(integrator._DGTSV is None, reason="numpy's BLAS has no dgtsv")
 needs_dptsv = pytest.mark.skipif(
     None in (integrator._DPTSV, integrator._DPTTRF, integrator._DPTTRS),
     reason="numpy's BLAS has no dptsv, dpttrf or dpttrs")
-
-
-def _random_dominant_system(rng, n):
-    lower = rng.uniform(-1, 1, n - 1)
-    upper = rng.uniform(-1, 1, n - 1)
-    diag = 3.0 + rng.uniform(0, 1, n)
-    rhs = rng.uniform(-5, 5, n)
-    return lower, diag, upper, rhs
 
 
 def _random_spd_system(rng, n):
@@ -42,51 +32,54 @@ def _random_spd_system(rng, n):
     return off, diag, rhs
 
 
+def _dense(off, diag):
+    return np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+
+
 def test_identity_system():
     rhs = np.array([3.0, -1.0, 4.0, 1.5])
     for solve in SOLVERS:
-        x = solve(np.zeros(3), np.ones(4), np.zeros(3), rhs)
+        x = solve(np.zeros(3), np.ones(4), rhs)
         assert np.array_equal(x, rhs), solve.__name__
 
 
 def test_two_by_two_hand_solve():
     for solve in SOLVERS:
-        x = solve([1.0], [2.0, 2.0], [1.0], [3.0, 3.0])
+        x = solve([1.0], [2.0, 2.0], [3.0, 3.0])
         assert x == pytest.approx([1.0, 1.0]), solve.__name__
 
 
 def test_matches_dense_solver_on_random_dominant_systems():
     rng = np.random.default_rng(42)
     for _ in range(20):
-        lower, diag, upper, rhs = _random_dominant_system(rng, 50)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        expected = np.linalg.solve(dense, rhs)
+        off, diag, rhs = _random_spd_system(rng, 50)
+        expected = np.linalg.solve(_dense(off, diag), rhs)
         for solve in SOLVERS:
-            got = solve(lower, diag, upper, rhs)
+            got = solve(off, diag, rhs)
             assert np.max(np.abs(got - expected)) < 1e-10, solve.__name__
 
 
 def test_lapack_agrees_with_thomas_at_n_511():
     rng = np.random.default_rng(511)
-    system = _random_dominant_system(rng, 511)
+    system = _random_spd_system(rng, 511)
     inputs = [a.copy() for a in system]
     got = tridiagonal_solve(*system)
     assert np.max(np.abs(got - _thomas_solve(*system))) <= 1e-13
-    # dgtsv works on copies: the caller's arrays are untouched
+    # the solve works on copies: the caller's arrays are untouched
     for before, after in zip(inputs, system):
         assert np.array_equal(before, after)
 
 
 def test_single_row_system():
     for solve in SOLVERS:
-        assert np.array_equal(solve([], [4.0], [], [2.0]), [0.5]), solve.__name__
+        assert np.array_equal(solve([], [4.0], [2.0]), [0.5]), solve.__name__
         with pytest.raises(SingularMatrixError):
-            solve([], [0.0], [], [1.0])
+            solve([], [0.0], [1.0])
 
 
 def test_solution_owns_its_memory():
     rng = np.random.default_rng(7)
-    system = _random_dominant_system(rng, 64)
+    system = _random_spd_system(rng, 64)
     for solve in SOLVERS:
         x = solve(*system)
         assert x.base is None and x.shape == (64,), solve.__name__
@@ -96,36 +89,55 @@ def test_solution_owns_its_memory():
 def test_singular_pivot_raises():
     for solve in SOLVERS:
         with pytest.raises(SingularMatrixError):
-            solve([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
+            solve([0.0], [0.0, 1.0], [1.0, 1.0])
+        # [[0, 1], [1, 0]] is regular, but its first pivot is 0
+        with pytest.raises(SingularMatrixError):
+            solve([1.0], [0.0, 0.0], [1.0, 2.0])
         # elimination produces an exactly zero second pivot
         with pytest.raises(SingularMatrixError):
-            solve([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
+            solve([1.0], [1.0, 1.0], [1.0, 1.0])
 
 
-@needs_dgtsv
-def test_lapack_exchanges_rows_on_zero_diagonal():
-    # [[0, 1], [1, 0]] x = [1, 2] is regular; only the Thomas loop stops on it
-    assert np.array_equal(tridiagonal_solve([1.0], [0.0, 0.0], [1.0], [1.0, 2.0]), [2.0, 1.0])
-    with pytest.raises(SingularMatrixError):
-        _thomas_solve([1.0], [0.0, 0.0], [1.0], [1.0, 2.0])
+@needs_dptsv
+def test_indefinite_system_raises_on_every_route():
+    # [[1, 1], [1, -1]] is regular but not positive definite: its second pivot is -2
+    off = np.array([1.0])
+    diag = np.array([1.0, -1.0])
+    rhs = np.array([3.0, 1.0])
+    for solve in SOLVERS:
+        with pytest.raises(SingularMatrixError, match="row 1"):
+            solve(off, diag, rhs)
+    with pytest.raises(SingularMatrixError, match="row 1"):
+        integrator._factor_symmetric(off, diag)
+
+
+def test_without_ldlt_routines_the_thomas_loop_solves(monkeypatch):
+    rng = np.random.default_rng(9)
+    off, diag, rhs = _random_spd_system(rng, 300)
+    for name in ("_DPTSV", "_DPTTRF", "_DPTTRS"):
+        monkeypatch.setattr(integrator, name, None)
+    assert integrator._factor_symmetric(off, diag) is None
+    assert np.array_equal(tridiagonal_solve(off, diag, rhs), _thomas_solve(off, diag, rhs))
 
 
 def test_inconsistent_lengths_rejected():
     for solve in SOLVERS:
         with pytest.raises(ConfigError):
-            solve([1.0, 2.0], [1.0, 1.0], [1.0], [1.0, 1.0])
+            solve([1.0, 2.0], [1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ConfigError):
-            solve([1.0], [1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
+            solve([1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+    # dpttrf writes the off-diagonal in place, so a short one is refused before the call
+    with pytest.raises(ConfigError):
+        integrator._factor_symmetric(np.array([-0.5]), np.full(4, 2.0))
 
 
 def test_reentrant_same_inputs_same_outputs():
-    lower = [0.5, -0.25]
+    off = [0.5, -0.25]
     diag = [2.0, 2.5, 3.0]
-    upper = [-0.5, 0.75]
     rhs = [1.0, 2.0, 3.0]
     for solve in SOLVERS:
-        first = solve(lower, diag, upper, rhs)
-        second = solve(lower, diag, upper, rhs)
+        first = solve(off, diag, rhs)
+        second = solve(off, diag, rhs)
         assert np.array_equal(first, second), solve.__name__
 
 
@@ -153,26 +165,10 @@ def test_symmetric_systems_match_dense_and_thomas():
     rng = np.random.default_rng(3)
     for n in (2, 50, 511):
         off, diag, rhs = _random_spd_system(rng, n)
-        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-        expected = np.linalg.solve(dense, rhs)
-        got = tridiagonal_solve(off, diag, off, rhs)
+        expected = np.linalg.solve(_dense(off, diag), rhs)
+        got = tridiagonal_solve(off, diag, rhs)
         assert np.max(np.abs(got - expected)) <= 1e-13
-        assert np.max(np.abs(got - _thomas_solve(off, diag, off, rhs))) <= 1e-13
-
-
-@needs_dptsv
-def test_indefinite_symmetric_system_falls_back_to_dgtsv():
-    # [[1, 1], [1, -1]] is regular but not positive definite, so dptsv stops on it
-    off = np.array([1.0])
-    diag = np.array([1.0, -1.0])
-    rhs = np.array([3.0, 1.0])
-    x = tridiagonal_solve(off, diag, off, rhs)
-    assert np.array_equal(x, tridiagonal_solve(off.copy(), diag, off, rhs))
-    assert x == pytest.approx([2.0, 1.0])
-    assert integrator._factor_symmetric(off, diag) is None
-    # a symmetric matrix that is singular still raises
-    with pytest.raises(SingularMatrixError):
-        tridiagonal_solve(off, np.array([1.0, 1.0]), off, rhs)
+        assert np.max(np.abs(got - _thomas_solve(off, diag, rhs))) <= 1e-13
 
 
 @needs_dptsv
@@ -184,8 +180,8 @@ def test_factored_solve_is_bit_identical_to_unfactored():
         assert factors is not None
         for _ in range(50):
             rhs = rng.uniform(-5, 5, n)
-            assert np.array_equal(tridiagonal_solve(off, diag, off, rhs, factors=factors),
-                                  tridiagonal_solve(off, diag, off, rhs))
+            assert np.array_equal(tridiagonal_solve(off, diag, rhs, factors=factors),
+                                  tridiagonal_solve(off, diag, rhs))
 
 
 @needs_dptsv
@@ -195,20 +191,7 @@ def test_factors_must_match_the_system():
     for factors in (integrator._factor_symmetric(off[:-1], diag[:-1]),
                     integrator._factor_symmetric(off, diag).astype(np.float32)):
         with pytest.raises(ConfigError):
-            tridiagonal_solve(off, diag, off, rhs, factors=factors)
-
-
-@needs_dgtsv
-@needs_dptsv
-def test_without_ldlt_routines_symmetric_systems_use_dgtsv(monkeypatch):
-    rng = np.random.default_rng(9)
-    off, diag, rhs = _random_spd_system(rng, 300)
-    general = tridiagonal_solve(off.copy(), diag, off, rhs)  # lower is not upper: dgtsv
-    assert not np.array_equal(general, tridiagonal_solve(off, diag, off, rhs))
-    for name in ("_DPTSV", "_DPTTRF", "_DPTTRS"):
-        monkeypatch.setattr(integrator, name, None)
-    assert integrator._factor_symmetric(off, diag) is None
-    assert np.array_equal(tridiagonal_solve(off, diag, off, rhs), general)
+            tridiagonal_solve(off, diag, rhs, factors=factors)
 
 
 @needs_dptsv
@@ -218,8 +201,8 @@ def test_symmetric_paths_leave_inputs_alone_and_own_their_memory():
     inputs = [a.copy() for a in (off, diag, rhs)]
     factors = integrator._factor_symmetric(off, diag)
     packed = factors.copy()
-    for x in (tridiagonal_solve(off, diag, off, rhs),
-              tridiagonal_solve(off, diag, off, rhs, factors=factors)):
+    for x in (tridiagonal_solve(off, diag, rhs),
+              tridiagonal_solve(off, diag, rhs, factors=factors)):
         assert x.base is None and x.shape == (128,)
         assert not any(np.shares_memory(x, a) for a in (off, diag, rhs, factors))
     for before, after in zip(inputs, (off, diag, rhs)):
@@ -238,8 +221,8 @@ def test_threads_solving_symmetric_systems_share_no_buffer():
     serial = []
     for off, diag, rhs in systems:
         factors = integrator._factor_symmetric(off, diag)
-        serial.append((tridiagonal_solve(off, diag, off, rhs),
-                       tridiagonal_solve(off, diag, off, rhs, factors=factors)))
+        serial.append((tridiagonal_solve(off, diag, rhs),
+                       tridiagonal_solve(off, diag, rhs, factors=factors)))
     mismatches = []
     start = threading.Barrier(len(systems))
 
@@ -248,8 +231,8 @@ def test_threads_solving_symmetric_systems_share_no_buffer():
         start.wait(timeout=30)
         for _ in range(150):
             factors = integrator._factor_symmetric(off, diag)
-            got = (tridiagonal_solve(off, diag, off, rhs),
-                   tridiagonal_solve(off, diag, off, rhs, factors=factors))
+            got = (tridiagonal_solve(off, diag, rhs),
+                   tridiagonal_solve(off, diag, rhs, factors=factors))
             if not all(np.array_equal(g, s) for g, s in zip(got, serial[k])):
                 mismatches.append(k)
 
