@@ -41,6 +41,9 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_VERIFY = 4
+# Most samples a run may take.  Each sample ends a step, so a tiny
+# sample_cadence would otherwise cap dt and run without end.
+MAX_SAMPLES = 100_000
 
 
 @dataclass
@@ -57,6 +60,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.sample_cadence > 0:
             raise ConfigError("sample_cadence must be > 0")
+        # the same test as ceil(T/c) > MAX_SAMPLES, without ceil's OverflowError at T/c = inf
+        if self.scenario.T_end / self.sample_cadence > MAX_SAMPLES:
+            raise ConfigError(f"sample_cadence = {self.sample_cadence:g} would take more than "
+                              f"{MAX_SAMPLES} samples to T_end = {self.scenario.T_end:g}")
         grid = build_grid(self.scenario.L, self.scenario.N)
         for k in self.probes:
             try:

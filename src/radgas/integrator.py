@@ -79,7 +79,6 @@ class StepOutcome:
 
     new_state: State
     dt_used: float
-    picard_iters: int
     rejected_count: int
     species_consumed: float = 0.0
 
@@ -267,12 +266,6 @@ def select_timestep(state: State, grid: Grid, params: GasParameters, controls: S
     return min(max(raw, controls.dt_min), controls.dt_max)
 
 
-def _source_eval(fn, t, x):
-    if fn is None:
-        return 0.0
-    return fn(t, x)
-
-
 def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=None):
     """Advance (v, u) by dt with theta frozen.
 
@@ -291,7 +284,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     _check_finite(state)
     _check_quadrant(state.v, th)
 
-    sv1 = _source_eval(getattr(sources, "Sv", None), t0 + 0.25 * h, grid.cell_centers)
+    sv1 = sources.Sv(t0 + 0.25 * h) if sources else 0.0
     v_half = state.v + 0.5 * h * ((u[1:] - u[:-1]) / dx + sv1)
     if not v_half.min() > controls.floor_v:
         raise PositivityError("specific volume fell below floor in half update")
@@ -299,7 +292,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     p = _pressure(params, v_half, th)
     w = params.mu / (dx * dx * v_half)
     grad_p = (p[1:] - p[:-1]) / dx
-    su = _source_eval(getattr(sources, "Su", None), t0 + 0.5 * h, grid.node_positions[1:-1])
+    su = sources.Su(t0 + 0.5 * h) if sources else 0.0
 
     # trapezoidal viscous solve on interior nodes; u = 0 pinned at both ends
     visc_old = w[1:] * (u[2:] - u[1:-1]) - w[:-1] * (u[1:-1] - u[:-2])
@@ -309,12 +302,12 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     u_new = np.zeros_like(u)
     u_new[1:-1] = tridiagonal_solve(off, diag, rhs)
 
-    sv2 = _source_eval(getattr(sources, "Sv", None), t0 + 0.75 * h, grid.cell_centers)
+    sv2 = sources.Sv(t0 + 0.75 * h) if sources else 0.0
     v_new = v_half + 0.5 * h * ((u_new[1:] - u_new[:-1]) / dx + sv2)
     if not v_new.min() > controls.floor_v:
         raise PositivityError("specific volume fell below floor")
 
-    return State(state.t, v_new, th.copy(), state.z.copy(), u_new)
+    return State(state.t, v_new, th, state.z, u_new)
 
 
 def _face_coefficients(cell_values, dx):
@@ -372,11 +365,10 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
         vol = -th * p_theta * u_x + viscous_heating + params.lam * _reaction_rate(params, th) * z
         return a, vol
 
-    stheta = getattr(sources, "Stheta", None)
     a_old, vol_old = coefficients(th_old, th_old_cu)
     half_flux_old = 0.5 * _flux_divergence(th_old, a_old)
-    src_old = vol_old + _source_eval(stheta, t0, grid.cell_centers)
-    stheta_new = _source_eval(stheta, t0 + h, grid.cell_centers)
+    src_old = vol_old + (sources.Stheta(t0) if sources else 0.0)
+    stheta_new = sources.Stheta(t0 + h) if sources else 0.0
 
     # the first sweep starts from th_old, whose coefficients are already known
     th_star, th_star_cu = th_old, th_old_cu
@@ -406,7 +398,7 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
 
     if not th_star.min() > controls.floor_theta:
         raise PositivityError("temperature fell below floor")
-    return State(state.t, v.copy(), th_star, z.copy(), state.u.copy()), iters
+    return State(state.t, v, th_star, z, state.u), iters
 
 
 def _species_rates(state, grid, params, dt):
@@ -453,11 +445,9 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
 
     z = state.z
     consumed = 0.0
-    src_fn = getattr(sources, "Sz", None)
     for k in range(n_sub):
         tau = t0 + k * delta
-        src = 0.5 * (_source_eval(src_fn, tau, grid.cell_centers)
-                     + _source_eval(src_fn, tau + delta, grid.cell_centers))
+        src = 0.5 * (sources.Sz(tau) + sources.Sz(tau + delta)) if sources else 0.0
         flux_z = _flux_divergence(z, a)
         rhs = z / delta + 0.5 * flux_z - half_phi * z + src
         z_new = tridiagonal_solve(off, diag, rhs, factors=factors)
@@ -474,7 +464,7 @@ def species_step(state, grid, params, dt, sources=None, t_start=None):
     _check_finite(state)
     _check_quadrant(state.v, state.theta)
     z_new, _ = _species_update(state, grid, params, dt, sources=sources, t_start=t_start)
-    return State(state.t, state.v.copy(), state.theta.copy(), z_new, state.u.copy())
+    return State(state.t, state.v, state.theta, z_new, state.u)
 
 
 def _check_state_bounds(state, controls, forced):
@@ -509,19 +499,17 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
             t0 = state.t
             half = 0.5 * dt_try
             z1, c1 = _species_update(state, grid, params, half, sources=sources, t_start=t0)
-            s1 = State(state.t, state.v.copy(), state.theta.copy(), z1, state.u.copy())
-            s2, it1 = heat_step(s1, grid, params, half, controls, sources=sources, t_start=t0)
+            s1 = State(state.t, state.v, state.theta, z1, state.u)
+            s2, _ = heat_step(s1, grid, params, half, controls, sources=sources, t_start=t0)
             s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
-            s4, it2 = heat_step(s3, grid, params, half, controls, sources=sources,
-                                t_start=t0 + half)
+            s4, _ = heat_step(s3, grid, params, half, controls, sources=sources,
+                              t_start=t0 + half)
             z5, c2 = _species_update(s4, grid, params, half, sources=sources, t_start=t0 + half)
-            s5 = State(s4.t, s4.v.copy(), s4.theta.copy(), z5, s4.u.copy())
+            s5 = State(t0 + dt_try, s4.v, s4.theta, z5, s4.u)
             _check_state_bounds(s5, controls, forced=sources is not None)
-            s5.t = t0 + dt_try
             return StepOutcome(
                 new_state=s5,
                 dt_used=dt_try,
-                picard_iters=max(it1, it2),
                 rejected_count=rejected,
                 species_consumed=c1 + c2,
             )
@@ -537,15 +525,13 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
 
 @dataclass
 class RunResult:
-    """Output of a simulation: the diagnostics history, plus every sampled
-    state when asked for."""
+    """Output of a simulation: the diagnostics history and the final state."""
 
     spec: ScenarioSpec
     grid: Grid
     params: GasParameters
     final_state: State
     records: list
-    states: list | None
     sample_times: np.ndarray
     species_consumed: float
 
@@ -560,9 +546,7 @@ class RunResult:
 def run_simulation(
     spec: ScenarioSpec,
     sample_cadence: float = 0.1,
-    keep_states: bool = False,
     controls: StepControls | None = None,
-    sources=None,
     on_sample=None,
 ) -> RunResult:
     """Integrate the scenario from t = 0 to T_end, sampling diagnostics.
@@ -571,9 +555,9 @@ def run_simulation(
     runs) reactant confinement, otherwise BlowUpError propagates.  Sampling
     lands exactly on multiples of the cadence because the timestep is capped
     by the distance to the next sample time.  Each sampled state, the
-    initial one first, is passed to ``on_sample`` as it is taken, and kept
-    in ``states`` when ``keep_states`` is set.  No state is changed after
-    it is sampled, so a consumer may keep it without a copy.
+    initial one first, is passed to ``on_sample`` as it is taken.  No state
+    is changed after it is sampled, so a consumer may keep it without a
+    copy.
     """
     from .functionals import accumulate_XY_increment, make_record
 
@@ -585,16 +569,12 @@ def run_simulation(
     controls = controls or controls_for(spec)
 
     records = []
-    states = [] if keep_states else None
-    consumers = [states.append] if keep_states else []
-    if on_sample is not None:
-        consumers.append(on_sample)
     X_acc = 0.0
     Y_run = 0.0
     rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
     records.append(rec)
-    for consume in consumers:
-        consume(state)
+    if on_sample is not None:
+        on_sample(state)
     prev_sample = state
     consumed_total = 0.0
 
@@ -605,7 +585,7 @@ def run_simulation(
         dt = select_timestep(state, grid, params, controls)
         dt = min(dt, t_next - state.t)
         try:
-            outcome = strang_step(state, grid, params, dt, controls, sources=sources)
+            outcome = strang_step(state, grid, params, dt, controls)
         except BlowUpError as exc:
             raise BlowUpError(f"run aborted at t = {state.t:.6g}: {exc}") from exc
         state = outcome.new_state
@@ -616,8 +596,8 @@ def run_simulation(
             X_acc += dX
             rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
             records.append(rec)
-            for consume in consumers:
-                consume(state)
+            if on_sample is not None:
+                on_sample(state)
             prev_sample = state
             k_sample += 1
 
@@ -627,7 +607,6 @@ def run_simulation(
         params=params,
         final_state=state,
         records=records,
-        states=states,
         sample_times=np.array([r.t for r in records]),
         species_consumed=consumed_total,
     )

@@ -7,7 +7,6 @@ discretization error only.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,58 +162,56 @@ def manufactured_source(ms: ManufacturedSolution, params: GasParameters, t, x):
     return _residuals(ms, params, t, x)[:4]
 
 
-# Evaluations a ManufacturedSources keeps.  A repeat comes a few evaluations
-# after the first: each species subcycle asks again for the time the one
-# before it ended at, and each heat substep for the two ends of a species
-# window.  Eight catch every repeat of the verify MMS studies, and a bounded
-# store keeps memory flat over a long study.
+# Times whose cell residuals a ManufacturedSources keeps.  A repeat comes a
+# few times after the first: each species subcycle asks again for the time
+# the one before it ended at, and each heat substep for the two ends of a
+# species window.  Eight catch every repeat of the verify MMS studies, and a
+# bounded store keeps memory flat over a long study.
 _STORE_SIZE = 8
 
 
 class ManufacturedSources:
-    """Adapter exposing per-equation source callables to the integrator.
+    """The residuals the split integrator adds, asked by time on one grid.
 
-    The temperature substep evolves theta at frozen v, so it needs the
-    temperature-form residual S_e - e_v*S_v; the two coincide whenever the
-    manufactured volume satisfies its own equation exactly.
-
-    The four residuals are evaluated together, once per (t, point set), and
-    the last few evaluations are kept, so the four callables and repeated
-    times share one evaluation.  A point set matches by value, not by
-    identity: the integrator passes a fresh view of the nodes on every call.
-    The returned arrays are shared between calls and therefore read-only.
+    ``Sv(t)``, ``Stheta(t)`` and ``Sz(t)`` are evaluated together on the cell
+    centres and kept for the last few times, keyed by t, read-only since
+    calls share them; ``Su(t)`` is the momentum residual on the interior
+    nodes.  The temperature substep evolves theta at frozen v, so it needs
+    the temperature-form residual S_e - e_v*S_v; the two coincide whenever
+    the manufactured volume satisfies its own equation exactly.
     """
 
-    def __init__(self, ms: ManufacturedSolution, params: GasParameters):
+    def __init__(self, ms: ManufacturedSolution, params: GasParameters, grid: Grid):
         self._ms = ms
         self._params = params
-        self._store = deque(maxlen=_STORE_SIZE)
+        self._cells = grid.cell_centers
+        self._nodes = grid.node_positions[1:-1]
+        self._store = {}
 
-    def _evaluate(self, t, x):
-        """(S_v, S_u, S_theta, S_z) at (t, x), from the store when it holds them."""
-        x = np.asarray(x, dtype=float)
-        for entry_t, entry_x, sources in self._store:
-            if entry_t == t and np.array_equal(entry_x, x):
-                return sources
-        S_v, S_u, S_e, S_z, e_v = _residuals(self._ms, self._params, t, x)
-        sources = (S_v, S_u, S_e - e_v * S_v, S_z)
-        for s in sources:
-            s.flags.writeable = False
-        # a private copy, so changing the caller's array later cannot give a stale hit
-        self._store.appendleft((t, x.copy(), sources))
+    def _at_cells(self, t):
+        """(S_v, S_theta, S_z) at time t, from the store when it holds them."""
+        sources = self._store.get(t)
+        if sources is None:
+            S_v, _, S_e, S_z, e_v = _residuals(self._ms, self._params, t, self._cells)
+            sources = (S_v, S_e - e_v * S_v, S_z)
+            for s in sources:
+                s.flags.writeable = False
+            self._store[t] = sources
+            if len(self._store) > _STORE_SIZE:
+                del self._store[next(iter(self._store))]
         return sources
 
-    def Sv(self, t, x):
-        return self._evaluate(t, x)[0]
+    def Sv(self, t):
+        return self._at_cells(t)[0]
 
-    def Su(self, t, x):
-        return self._evaluate(t, x)[1]
+    def Su(self, t):
+        return _residuals(self._ms, self._params, t, self._nodes)[1]
 
-    def Stheta(self, t, x):
-        return self._evaluate(t, x)[2]
+    def Stheta(self, t):
+        return self._at_cells(t)[1]
 
-    def Sz(self, t, x):
-        return self._evaluate(t, x)[3]
+    def Sz(self, t):
+        return self._at_cells(t)[2]
 
 
 def integrate_manufactured(
@@ -233,7 +230,7 @@ def integrate_manufactured(
     """
     grid = build_grid(L, N)
     controls = controls or StepControls()
-    sources = ManufacturedSources(ms, params)
+    sources = ManufacturedSources(ms, params, grid)
     state = ms.state(grid, 0.0)
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     for k in range(n_steps):

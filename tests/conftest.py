@@ -17,9 +17,21 @@ def canonical_spec():
 
 
 @pytest.fixture(scope="session")
-def canonical_run(canonical_spec):
-    """The full canonical run with stored states, shared by many checks."""
-    return run_simulation(canonical_spec, sample_cadence=0.02, keep_states=True)
+def _canonical_sampled(canonical_spec):
+    """The full canonical run and every state it sampled, shared by many checks."""
+    states = []
+    return run_simulation(canonical_spec, sample_cadence=0.02, on_sample=states.append), states
+
+
+@pytest.fixture(scope="session")
+def canonical_run(_canonical_sampled):
+    return _canonical_sampled[0]
+
+
+@pytest.fixture(scope="session")
+def canonical_states(_canonical_sampled):
+    """The canonical run's sampled states, the initial one first."""
+    return _canonical_sampled[1]
 
 
 @pytest.fixture(scope="session")

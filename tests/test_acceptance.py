@@ -25,10 +25,10 @@ FROZEN_ORACLE_LINF = {"v": 4.136512e-4, "u": 3.626726e-5, "theta": 9.733443e-5, 
 
 
 @pytest.fixture(scope="module")
-def canonical_samples(canonical_run):
+def canonical_samples(canonical_run, canonical_states):
     """What verify's large-time check keeps of the canonical states, by the same fold."""
     samples = vs._LargeTimeSamples(canonical_run.grid, canonical_run.spec.params)
-    for state in canonical_run.states:
+    for state in canonical_states:
         samples(state)
     return samples
 
@@ -80,9 +80,9 @@ def test_c02_momentum_conservation(canonical_run):
                f"deviation {float(np.max(bdry)):.2e}, so the walls exert force later")
 
 
-def test_c02_species_balance_identity(canonical_run):
+def test_c02_species_balance_identity(canonical_run, canonical_states):
     dx = canonical_run.grid.dx
-    z0 = float(np.sum(canonical_run.states[0].z)) * dx
+    z0 = float(np.sum(canonical_states[0].z)) * dx
     zT = float(np.sum(canonical_run.final_state.z)) * dx
     residual = abs(zT + canonical_run.species_consumed - z0) / z0
     _criterion(2, "species balance identity", residual <= 1e-10,
@@ -142,12 +142,12 @@ def test_c08_volume_representation(canonical_run, canonical_samples):
                f"{fine:.2e} <= {vs.REPRESENTATION_HALVING} * {coarse:.2e}")
 
 
-def test_c09_oscillation_bound_shadow(canonical_run):
+def test_c09_oscillation_bound_shadow(canonical_run, canonical_states):
     spec = canonical_run.spec
     m_exp = 0.5 * (spec.params.b + 4.0)
     series = np.array([
         oscillation_ratio(s, canonical_run.grid, spec.params, m_exp, 2)
-        for s in canonical_run.states
+        for s in canonical_states
     ])
     run_max = np.maximum.accumulate(series)
     half = len(series) // 2
@@ -194,13 +194,13 @@ def test_c13_parameter_sweep(tmp_path):
                f"all completed {all_completed}")
 
 
-def test_probe_window_values_stay_near_unity(canonical_run):
+def test_probe_window_values_stay_near_unity(canonical_run, canonical_states):
     """Window averages of v and theta, and the values at the cells attaining
     them, stay within [0.5, 2] across the canonical run."""
     from radgas.functionals import interval_probe
 
     for k in (0, 2):
-        for state in canonical_run.states[:: max(1, len(canonical_run.states) // 50)]:
+        for state in canonical_states[:: max(1, len(canonical_states) // 50)]:
             probe = interval_probe(state, canonical_run.grid, k)
             for val in (probe.avg_v, probe.avg_theta):
                 assert 0.5 <= val <= 2.0

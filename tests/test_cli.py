@@ -268,11 +268,12 @@ def test_sweep_records_inadmissible_cells_without_failing(tmp_path):
     assert fields[3] == "blowup"
 
 
-def test_huge_reaction_rate_is_refused_at_load(tmp_path):
-    """K_react = 1e200 would need about 1e187 species subcycles even at dt_min."""
+def _refused_at_load(tmp_path, edits, reason):
+    """Run the canonical config with ``edits`` in a fresh process: it must exit 2
+    at load with one ``config error:`` line naming ``reason`` and no output
+    directory.  The timeout turns a config that runs without end into a failure."""
     text = (Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg").read_text()
-    for old, new in (("N = 512", "N = 32"), ("T_end = 20.0", "T_end = 0.2"),
-                     ("K_react = 1.0", "K_react = 1e200")):
+    for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     cfg = write_config(tmp_path, text)
@@ -282,8 +283,20 @@ def test_huge_reaction_rate_is_refused_at_load(tmp_path):
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == EXIT_CONFIG
     assert out.stderr.startswith("config error:") and out.stderr.count("\n") == 1
-    assert "subcycles" in out.stderr and "Traceback" not in out.stderr
+    assert reason in out.stderr and "Traceback" not in out.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_reaction_rate_is_refused_at_load(tmp_path):
+    """K_react = 1e200 would need about 1e187 species subcycles even at dt_min."""
+    _refused_at_load(tmp_path, (("N = 512", "N = 32"), ("T_end = 20.0", "T_end = 0.2"),
+                                ("K_react = 1.0", "K_react = 1e200")), "subcycles")
+
+
+def test_tiny_sample_cadence_is_refused_at_load(tmp_path):
+    """sample_cadence = 1e-9 caps every dt at the cadence: about 2e10 steps to T_end = 20."""
+    _refused_at_load(tmp_path, (("sample_cadence = 0.05", "sample_cadence = 1e-9"),),
+                     "sample_cadence")
 
 
 def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):

@@ -218,8 +218,9 @@ def test_accumulate_XY_identical_pair_contributes_nothing():
 def test_representation_equilibrium_reconstruction():
     """At rest the reconstruction collapses to a closed form equal to 1."""
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=1.0)
-    res = run_simulation(spec, sample_cadence=0.005, keep_states=True)
-    probe = representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 1.0)
+    states = []
+    res = run_simulation(spec, sample_cadence=0.005, on_sample=states.append)
+    probe = representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 1.0)
     p_rest = PARAMS.R + PARAMS.a / 3.0
     assert probe.Q == pytest.approx(math.exp(-p_rest * 1.0 / PARAMS.mu), rel=1e-6)
     assert np.max(np.abs(probe.B - 1.0)) < 1e-14
@@ -229,21 +230,23 @@ def test_representation_equilibrium_reconstruction():
 def test_representation_at_time_zero_returns_initial_volume():
     spec = ScenarioSpec(amplitude_v=0.1, amplitude_u=0.1, amplitude_theta=0.2,
                         amplitude_z=0.5, L=10.0, N=128, T_end=0.2)
-    res = run_simulation(spec, sample_cadence=0.1, keep_states=True)
-    probe = representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 0.0)
+    states = []
+    res = run_simulation(spec, sample_cadence=0.1, on_sample=states.append)
+    probe = representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 0.0)
     idx = np.nonzero(np.abs(res.grid.cell_centers) <= 3.0)[0]
-    assert np.max(np.abs(probe.v_reconstructed - res.states[0].v[idx])) < 1e-14
+    assert np.max(np.abs(probe.v_reconstructed - states[0].v[idx])) < 1e-14
 
 
 def test_representation_window_and_history_guards():
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=0.2)
-    res = run_simulation(spec, sample_cadence=0.1, keep_states=True)
+    states = []
+    res = run_simulation(spec, sample_cadence=0.1, on_sample=states.append)
     with pytest.raises(WindowOutOfDomain):
-        representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 9), 0.2)
+        representation_check(WindowHistory.of(states, res.grid, PARAMS, 9), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(WindowHistory.of(res.states[:1], res.grid, PARAMS, 2), 0.2)
+        representation_check(WindowHistory.of(states[:1], res.grid, PARAMS, 2), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(WindowHistory.of(res.states, res.grid, PARAMS, 2), 5.0)
+        representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 5.0)
 
 
 def test_temperature_envelope_trivial_histories():
@@ -326,22 +329,24 @@ def test_streamed_history_functionals_equal_the_whole_state_forms(small_gaussian
     windows = {k: WindowHistory(grid, spec.params, k) for k in (0, 2)}
     requested = [0.0625, 0.3, 0.5, 5.0]
     nearest = _NearestSamples(requested)
+    states = []
 
     def sample(state):
+        states.append(state)
         nearest(state)
         for window in windows.values():
             window.append(state)
 
-    res = run_simulation(spec, sample_cadence=0.125, keep_states=True, on_sample=sample)
-    assert len(res.states) == len(res.records) == 9
+    res = run_simulation(spec, sample_cadence=0.125, on_sample=sample)
+    assert len(states) == len(res.records) == 9
 
     for step in (1, 2):
         assert (temperature_envelope_check(res.records[::step])
-                == _envelope_from_states(res.states[::step]))
+                == _envelope_from_states(states[::step]))
         for k, window in windows.items():
             probe = representation_check(window.every(step), spec.T_end)
             B, Q, v_rec, max_rel = _representation_from_states(
-                res.states[::step], grid, spec.params, k, spec.T_end)
+                states[::step], grid, spec.params, k, spec.T_end)
             assert np.array_equal(probe.B, B)
             assert np.array_equal(probe.Q, Q)
             assert np.array_equal(probe.v_reconstructed, v_rec)
@@ -351,7 +356,7 @@ def test_streamed_history_functionals_equal_the_whole_state_forms(small_gaussian
     assert abs(times[0] - 0.0625) == abs(times[1] - 0.0625)  # a tie
     assert requested[-1] > times[-1]  # past T_end
     for t, state in zip(requested, nearest.states):
-        assert state is res.states[int(np.argmin(np.abs(times - t)))]
+        assert state is states[int(np.argmin(np.abs(times - t)))]
 
 
 def test_theta_bound_from_Y_values():
@@ -368,20 +373,20 @@ def test_XY_nondecreasing_along_canonical_history(canonical_run):
     assert np.all(np.diff(Y) >= 0.0)
 
 
-def test_XY_robust_under_cadence_doubling(canonical_run):
+def test_XY_robust_under_cadence_doubling(canonical_run, canonical_states):
     """X and Y from every-sample and every-second-sample histories agree to 5%."""
     spec = canonical_run.spec
-    X1, Y1 = accumulate_XY(canonical_run.states, spec.params, canonical_run.grid)
-    X2, Y2 = accumulate_XY(canonical_run.states[::2], spec.params, canonical_run.grid)
+    X1, Y1 = accumulate_XY(canonical_states, spec.params, canonical_run.grid)
+    X2, Y2 = accumulate_XY(canonical_states[::2], spec.params, canonical_run.grid)
     assert abs(X1 - X2) <= 0.05 * X1
     assert abs(Y1 - Y2) <= 0.05 * Y1
 
 
-def test_record_history_matches_accumulate_XY(canonical_run):
+def test_record_history_matches_accumulate_XY(canonical_run, canonical_states):
     X_inc = canonical_run.column("X_acc")[-1]
     Y_inc = canonical_run.column("Y_run")[-1]
     X_direct, Y_direct = accumulate_XY(
-        canonical_run.states, canonical_run.spec.params, canonical_run.grid
+        canonical_states, canonical_run.spec.params, canonical_run.grid
     )
     assert X_inc == pytest.approx(X_direct, rel=1e-12)
     assert Y_inc == pytest.approx(Y_direct, rel=1e-12)

@@ -345,9 +345,10 @@ def test_run_simulation_reactant_mass_decays(small_gaussian_spec):
 
 
 def test_run_simulation_species_budget_identity(small_gaussian_spec):
-    res = run_simulation(small_gaussian_spec, sample_cadence=0.25, keep_states=True)
+    states = []
+    res = run_simulation(small_gaussian_spec, sample_cadence=0.25, on_sample=states.append)
     dx = res.grid.dx
-    z0 = np.sum(res.states[0].z) * dx
+    z0 = np.sum(states[0].z) * dx
     zT = np.sum(res.final_state.z) * dx
     residual = abs(zT + res.species_consumed - z0)
     assert residual <= 1e-10 * z0

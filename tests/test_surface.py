@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -27,3 +28,17 @@ def test_package_imports_resolve_and_are_public():
             where = f"radgas.{node.module}.{alias.name}"
             assert getattr(radgas, alias.asname or alias.name) is getattr(module, alias.name), where
             assert alias.name in getattr(module, "__all__", [alias.name]), where
+
+
+def test_every_perfbench_target_resolves():
+    """A traced function that was renamed or moved fails here; the tracer itself
+    would only skip it, and that layer's metrics would read 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert targets
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in targets if not callable(getattr(owner, attr, None))]
+    assert not missing, f"perfbench traces names that do not resolve: {missing}"

@@ -13,6 +13,7 @@ from radgas.errors import ConfigError
 from radgas.verification import (
     FIELDS,
     ManufacturedSources,
+    _STORE_SIZE,
     _orders,
     convergence_study,
     equilibrium_manufactured_solution,
@@ -90,60 +91,60 @@ def test_sources_match_finite_difference_oracle():
 
 def test_temperature_substep_source_accounts_for_volume_residual():
     ms = gaussian_manufactured_solution()
-    sources = ManufacturedSources(ms, PARAMS)
-    x = np.array([-1.0, 0.3, 2.0])
+    grid = build_grid(8.0, 64)
+    sources = ManufacturedSources(ms, PARAMS, grid)
+    x = grid.cell_centers
     t = 0.4
     S_v, _, S_e, _ = manufactured_source(ms, PARAMS, t, x)
     e_v = constitutive.constitutive_partials(PARAMS, ms.v(t, x), ms.theta(t, x))[2]
-    assert np.array_equal(sources.Stheta(t, x), S_e - e_v * S_v)
+    assert np.array_equal(sources.Stheta(t), S_e - e_v * S_v)
 
 
 class PerComponentSources:
-    """Each source callable evaluates manufactured_source on its own; nothing is shared."""
+    """Each source evaluates manufactured_source on its own points; nothing is shared."""
 
-    def __init__(self, ms, params):
+    def __init__(self, ms, params, grid):
         self.ms, self.params = ms, params
+        self.cells, self.nodes = grid.cell_centers, grid.node_positions[1:-1]
 
-    def Sv(self, t, x):
-        return manufactured_source(self.ms, self.params, t, x)[0]
+    def Sv(self, t):
+        return manufactured_source(self.ms, self.params, t, self.cells)[0]
 
-    def Su(self, t, x):
-        return manufactured_source(self.ms, self.params, t, x)[1]
+    def Su(self, t):
+        return manufactured_source(self.ms, self.params, t, self.nodes)[1]
 
-    def Stheta(self, t, x):
+    def Stheta(self, t):
+        x = self.cells
         S_v, _, S_e, _ = manufactured_source(self.ms, self.params, t, x)
         e_v = constitutive.constitutive_partials(self.params, self.ms.v(t, x), self.ms.theta(t, x))[2]
         return S_e - e_v * S_v
 
-    def Sz(self, t, x):
-        return manufactured_source(self.ms, self.params, t, x)[3]
+    def Sz(self, t):
+        return manufactured_source(self.ms, self.params, t, self.cells)[3]
 
 
 def test_shared_sources_match_per_component_evaluation():
-    """Interleaved and repeated times on three point sets, more keys than the
-    adapter keeps: the nodes come as a fresh view on every call, and shifted
-    centres have the length of the centres but other values."""
+    """Interleaved and repeated times, more distinct ones than the adapter keeps,
+    on the cells (Sv, Stheta, Sz) and the interior nodes (Su)."""
     ms = gaussian_manufactured_solution()
     grid = build_grid(8.0, 64)
-    sources = ManufacturedSources(ms, PARAMS)
-    reference = PerComponentSources(ms, PARAMS)
-    shifted = grid.cell_centers + 0.5 * grid.dx
-    point_sets = (lambda: grid.cell_centers, lambda: grid.node_positions[1:-1], lambda: shifted)
-    for t in (0.1, 0.2, 0.1, 0.15, 0.2, 0.1, 0.3, 0.15):
-        for points in point_sets:
-            for name in ("Sv", "Su", "Stheta", "Sz"):
-                x = points()
-                assert np.array_equal(getattr(sources, name)(t, x), getattr(reference, name)(t, x))
+    sources = ManufacturedSources(ms, PARAMS, grid)
+    reference = PerComponentSources(ms, PARAMS, grid)
+    distinct = [0.05 * k for k in range(1, _STORE_SIZE + 3)]
+    times = distinct + distinct[::-1] + [0.1, 0.2, 0.1, 0.15, 0.2, 0.1, 0.3, 0.15]
+    assert len(set(times)) > _STORE_SIZE
+    for t in times:
+        for name in ("Sv", "Su", "Stheta", "Sz"):
+            assert np.array_equal(getattr(sources, name)(t), getattr(reference, name)(t)), (name, t)
+    assert sources.Su(0.3).shape == (grid.N - 1,)
+    assert sources.Sv(0.3).shape == (grid.N,)
 
 
-def test_shared_sources_are_read_only_and_follow_changed_points():
-    ms = gaussian_manufactured_solution()
-    sources = ManufacturedSources(ms, PARAMS)
-    x = np.array([-1.0, 0.3, 2.0])
-    with pytest.raises(ValueError):
-        sources.Sv(0.4, x)[0] = 0.0
-    x += 0.25
-    assert np.array_equal(sources.Sv(0.4, x), manufactured_source(ms, PARAMS, 0.4, x)[0])
+def test_shared_sources_are_read_only():
+    sources = ManufacturedSources(gaussian_manufactured_solution(), PARAMS, build_grid(8.0, 64))
+    for name in ("Sv", "Stheta", "Sz"):
+        with pytest.raises(ValueError):
+            getattr(sources, name)(0.4)[0] = 0.0
 
 
 def test_integration_with_shared_sources_is_bit_identical(monkeypatch):
