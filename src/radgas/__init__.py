@@ -34,9 +34,7 @@ from .functionals import (
     RepresentationProbe,
     WindowHistory,
     accumulate_XY,
-    conserved_quantities,
     dissipation_rate,
-    entropy_energy,
     interval_probe,
     norms,
     oscillation_ratio,

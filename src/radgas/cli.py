@@ -23,7 +23,7 @@ from .constitutive import GasParameters
 from .domain import ScenarioSpec, build_grid, validate_parameters
 from .errors import BlowUpError, ConfigError, WindowOutOfDomain
 from .functionals import (
-    DiagnosticsRecord,
+    CSV_COLUMNS,
     WindowHistory,
     _window_cells,
     interval_probe,
@@ -120,15 +120,25 @@ class SweepConfig:
             raise ConfigError("sweep value lists must be nonempty")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be >= 1")
+        owners = {}
         for b, beta in self.cells():
             try:
                 replace(self.base.scenario.params, b=b, beta=beta)
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell (b={b:g}, beta={beta:g}): {exc}") from exc
+            name, cell = self.cell_dir(b, beta), f"(b={b!r}, beta={beta!r})"
+            if name in owners:
+                raise ConfigError(f"sweep cells {owners[name]} and {cell} would both write {name}")
+            owners[name] = cell
 
     def cells(self):
         """(b, beta) of every grid cell, b-major in config order."""
         return [(b, beta_fn(b)) for b in self.b_values for beta_fn in self.beta_values]
+
+    @staticmethod
+    def cell_dir(b, beta):
+        """The output directory of cell (b, beta), relative to the sweep's."""
+        return f"cell_b{b:g}_beta{beta:g}"
 
 
 _PARSERS = {
@@ -212,7 +222,7 @@ def _atomic_write(path, text):
 
 
 def _write_diagnostics_csv(path, records):
-    lines = [DiagnosticsRecord.csv_header()]
+    lines = [",".join(CSV_COLUMNS)]
     lines.extend(r.csv_row() for r in records)
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -259,15 +269,15 @@ def _report_text(config: RunConfig, result, windows) -> str:
     run_max_v = max(r.max_v for r in result.records)
     run_min_th = min(r.min_theta for r in result.records)
     run_max_th = max(r.max_theta for r in result.records)
-    ratio = final.max_theta / theta_bound_from_Y(spec.params, final.Y_run)
+    ratio = final.max_theta / theta_bound_from_Y(spec.params, final.Y)
     blocks.append(
         "bound summary\n"
         f"  v range over run = [{run_min_v:.6g}, {run_max_v:.6g}]\n"
         f"  theta range over run = [{run_min_th:.6g}, {run_max_th:.6g}]\n"
         f"  max_z over run = {max(r.max_z for r in result.records):.6g}\n"
-        f"  X final = {final.X_acc:.6g}, Y final = {final.Y_run:.6g}\n"
+        f"  X final = {final.X:.6g}, Y final = {final.Y:.6g}\n"
         f"  max_theta / theta-bound ratio = {ratio:.6g}\n"
-        f"  boundary deviation max = {max(r.boundary_deviation for r in result.records):.3e}"
+        f"  boundary deviation max = {max(r.boundary_dev for r in result.records):.3e}"
     )
     if len(result.records) >= 2:
         blocks.append(
@@ -282,7 +292,8 @@ def _report_text(config: RunConfig, result, windows) -> str:
             blocks.append(f"volume representation k = {window.k}: skipped ({exc})")
     blocks.append(
         "final deviation norms\n"
-        + "\n".join(f"  {k} = {final.norms[k]:.10g}" for k in ("L2", "L4", "Linf", "grad_L2"))
+        + "\n".join(f"  {name.removeprefix('dev_')} = {getattr(final, name):.10g}"
+                    for name in ("dev_L2", "dev_L4", "dev_Linf", "grad_L2"))
     )
     return "\n\n".join(blocks) + "\n"
 
@@ -410,9 +421,9 @@ def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):
         return row
     final = result.records[-1]
     row.update(
-        final_Linf_dev=final.norms["Linf"],
-        X_final=final.X_acc,
-        Y_final=final.Y_run,
+        final_Linf_dev=final.dev_Linf,
+        X_final=final.X,
+        Y_final=final.Y,
         min_theta=min(r.min_theta for r in result.records),
         max_theta=max(r.max_theta for r in result.records),
     )
@@ -433,7 +444,7 @@ def sweep_command(config_path, output_dir=None) -> int:
     os.makedirs(out_root, exist_ok=True)
 
     jobs = [
-        (b, beta, os.path.join(out_root, f"cell_b{b:g}_beta{beta:g}"))
+        (b, beta, os.path.join(out_root, config.cell_dir(b, beta)))
         for b, beta in config.cells()
     ]
     if workers == 1:

@@ -7,7 +7,7 @@ rule.  All functions here are read-only.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "ProbeWindow",
     "RepresentationProbe",
     "WindowHistory",
-    "conserved_quantities",
     "dissipation_rate",
-    "entropy_energy",
     "accumulate_XY",
     "accumulate_XY_increment",
     "norms",
@@ -41,16 +39,10 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "t", "mass_dev", "momentum", "total_energy", "G", "V", "X", "Y",
-    "min_v", "max_v", "min_theta", "max_theta", "max_z", "z_L1",
-    "dev_L2", "dev_L4", "dev_Linf", "grad_L2", "boundary_dev",
-)
-
 
 @dataclass
 class DiagnosticsRecord:
-    """One sampled row of run diagnostics."""
+    """One sampled row of run diagnostics; its fields are the CSV columns."""
 
     t: float
     mass_dev: float
@@ -58,30 +50,27 @@ class DiagnosticsRecord:
     total_energy: float
     G: float
     V: float
-    X_acc: float
-    Y_run: float
+    X: float
+    Y: float
     min_v: float
     max_v: float
     min_theta: float
     max_theta: float
     max_z: float
     z_L1: float
-    norms: dict
-    boundary_deviation: float
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)
+    dev_L2: float
+    dev_L4: float
+    dev_Linf: float
+    grad_L2: float
+    boundary_dev: float
 
     def csv_row(self) -> str:
-        values = (
-            self.t, self.mass_dev, self.momentum, self.total_energy, self.G,
-            self.V, self.X_acc, self.Y_run, self.min_v, self.max_v,
-            self.min_theta, self.max_theta, self.max_z, self.z_L1,
-            self.norms["L2"], self.norms["L4"], self.norms["Linf"],
-            self.norms["grad_L2"], self.boundary_deviation,
-        )
-        return ",".join(f"{x:.17g}" for x in values)
+        # getattr, not dataclasses.astuple: astuple deep-copies every field
+        # and triples the cost of a row
+        return ",".join(f"{getattr(self, name):.17g}" for name in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)
@@ -131,24 +120,6 @@ def _u_on_cells(u: np.ndarray) -> np.ndarray:
     return 0.5 * (u[:-1] + u[1:])
 
 
-def conserved_quantities(state: State, grid: Grid, params: GasParameters):
-    """(mass deviation, momentum, total relative energy) of a state.
-
-    Momentum and kinetic energy weight nodes with half-cell lumped masses;
-    the energy is measured relative to the rest state and includes the
-    chemical reservoir lam*z.
-    """
-    dx = grid.dx
-    mass_dev = float(np.sum(state.v - 1.0) * dx)
-    masses = _node_masses(grid)
-    momentum = float(np.sum(masses * state.u))
-    e_rest = internal_energy(params, 1.0, 1.0)
-    internal = np.sum(internal_energy(params, state.v, state.theta) - e_rest) * dx
-    kinetic = 0.5 * np.sum(masses * state.u**2)
-    chemical = params.lam * np.sum(state.z) * dx
-    return mass_dev, momentum, float(internal + kinetic + chemical)
-
-
 def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:
     """Viscous plus conductive entropy production; zero only for flat states."""
     dx = grid.dx
@@ -159,13 +130,6 @@ def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:
     th_x = np.diff(state.theta) / dx
     conductive = conductivity(params, v_f, th_f) * th_x**2 / (v_f * th_f**2)
     return float((np.sum(viscous) + np.sum(conductive)) * dx)
-
-
-def entropy_energy(state: State, grid: Grid, params: GasParameters) -> float:
-    """Entropy functional plus kinetic energy; zero only at equilibrium."""
-    eta = entropy_eta(params, state.v, state.theta)
-    kinetic = 0.5 * np.sum(_node_masses(grid) * state.u**2)
-    return float(np.sum(eta) * grid.dx + kinetic)
 
 
 def _Y_now(state: State, grid: Grid, params: GasParameters) -> float:
@@ -202,29 +166,51 @@ def accumulate_XY(states, params: GasParameters, grid: Grid):
     return X, Y
 
 
-def make_record(state: State, grid: Grid, params: GasParameters, X_acc: float, Y_run: float):
-    """Assemble a DiagnosticsRecord; returns (record, updated running Y)."""
-    mass_dev, momentum, total_energy = conserved_quantities(state, grid, params)
-    Y_run = max(Y_run, _Y_now(state, grid, params))
-    rec = DiagnosticsRecord(
+def make_record(state: State, grid: Grid, params: GasParameters, prev=None, prev_state=None):
+    """The DiagnosticsRecord of a sampled state; every column is computed here.
+
+    Mass, momentum and kinetic energy weight nodes with half-cell lumped
+    masses.  total_energy is measured relative to the rest state and includes
+    the chemical reservoir lam*z; G is the entropy functional plus the kinetic
+    energy, zero only at equilibrium.  X and Y carry on from ``prev``, the
+    record of the previous sample ``prev_state``: X adds the increment between
+    the two states and Y is the running maximum of the weighted squared
+    temperature gradient.  The first sample passes neither, and its X is 0.
+    """
+    dx = grid.dx
+    masses = _node_masses(grid)
+    e_rest = internal_energy(params, 1.0, 1.0)
+    internal = np.sum(internal_energy(params, state.v, state.theta) - e_rest) * dx
+    kinetic = 0.5 * np.sum(masses * state.u**2)
+    chemical = params.lam * np.sum(state.z) * dx
+    eta = entropy_eta(params, state.v, state.theta)
+    if prev is None:
+        X, Y = 0.0, 0.0
+    else:
+        X = prev.X + accumulate_XY_increment(prev_state, state, params, grid)
+        Y = prev.Y
+    dev = norms(state, grid)
+    return DiagnosticsRecord(
         t=state.t,
-        mass_dev=mass_dev,
-        momentum=momentum,
-        total_energy=total_energy,
-        G=entropy_energy(state, grid, params),
+        mass_dev=float(np.sum(state.v - 1.0) * dx),
+        momentum=float(np.sum(masses * state.u)),
+        total_energy=float(internal + kinetic + chemical),
+        G=float(np.sum(eta) * dx + kinetic),
         V=dissipation_rate(state, grid, params),
-        X_acc=X_acc,
-        Y_run=Y_run,
+        X=X,
+        Y=max(Y, _Y_now(state, grid, params)),
         min_v=float(np.min(state.v)),
         max_v=float(np.max(state.v)),
         min_theta=float(np.min(state.theta)),
         max_theta=float(np.max(state.theta)),
         max_z=float(np.max(state.z)),
-        z_L1=float(np.sum(np.abs(state.z)) * grid.dx),
-        norms=norms(state, grid),
-        boundary_deviation=boundary_deviation(state, grid),
+        z_L1=float(np.sum(np.abs(state.z)) * dx),
+        dev_L2=dev["L2"],
+        dev_L4=dev["L4"],
+        dev_Linf=dev["Linf"],
+        grad_L2=dev["grad_L2"],
+        boundary_dev=boundary_deviation(state, grid),
     )
-    return rec, Y_run
 
 
 def _window_cells(grid: Grid, k: int):

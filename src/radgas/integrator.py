@@ -529,18 +529,13 @@ class RunResult:
 
     spec: ScenarioSpec
     grid: Grid
-    params: GasParameters
     final_state: State
     records: list
-    sample_times: np.ndarray
     species_consumed: float
 
     def column(self, name: str) -> np.ndarray:
-        """Time series of one DiagnosticsRecord field (norm labels allowed)."""
-        first = self.records[0]
-        if hasattr(first, name):
-            return np.array([getattr(r, name) for r in self.records])
-        return np.array([r.norms[name] for r in self.records])
+        """Time series of one DiagnosticsRecord field, that is one CSV column."""
+        return np.array([getattr(r, name) for r in self.records])
 
 
 def run_simulation(
@@ -554,12 +549,12 @@ def run_simulation(
     Every accepted state satisfies the positivity floors and (for unforced
     runs) reactant confinement, otherwise BlowUpError propagates.  Sampling
     lands exactly on multiples of the cadence because the timestep is capped
-    by the distance to the next sample time.  Each sampled state, the
-    initial one first, is passed to ``on_sample`` as it is taken.  No state
-    is changed after it is sampled, so a consumer may keep it without a
-    copy.
+    by the distance to the next sample time.  Each sample, the initial state
+    first, appends ``make_record`` of the state and the previous sample to
+    the records and then passes the state to ``on_sample``.  No state is
+    changed after it is sampled, so a consumer may keep it without a copy.
     """
-    from .functionals import accumulate_XY_increment, make_record
+    from .functionals import make_record
 
     if not sample_cadence > 0:
         raise ConfigError("sample_cadence must be > 0")
@@ -569,19 +564,22 @@ def run_simulation(
     controls = controls or controls_for(spec)
 
     records = []
-    X_acc = 0.0
-    Y_run = 0.0
-    rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
-    records.append(rec)
-    if on_sample is not None:
-        on_sample(state)
-    prev_sample = state
+    record = prev_sample = None
     consumed_total = 0.0
-
-    k_sample = 1
+    k_sample = 0
+    t_next = 0.0
     t_eps = 1e-12 * max(1.0, spec.T_end)
-    while state.t < spec.T_end - t_eps:
-        t_next = min(k_sample * sample_cadence, spec.T_end)
+    while True:
+        if state.t >= t_next - t_eps:
+            record = make_record(state, grid, params, record, prev_sample)
+            records.append(record)
+            if on_sample is not None:
+                on_sample(state)
+            prev_sample = state
+            k_sample += 1
+            t_next = min(k_sample * sample_cadence, spec.T_end)
+        if state.t >= spec.T_end - t_eps:
+            break
         dt = select_timestep(state, grid, params, controls)
         dt = min(dt, t_next - state.t)
         try:
@@ -591,22 +589,10 @@ def run_simulation(
         state = outcome.new_state
         consumed_total += outcome.species_consumed
 
-        if state.t >= t_next - t_eps:
-            dX = accumulate_XY_increment(prev_sample, state, params, grid)
-            X_acc += dX
-            rec, Y_run = make_record(state, grid, params, X_acc, Y_run)
-            records.append(rec)
-            if on_sample is not None:
-                on_sample(state)
-            prev_sample = state
-            k_sample += 1
-
     return RunResult(
         spec=spec,
         grid=grid,
-        params=params,
         final_state=state,
         records=records,
-        sample_times=np.array([r.t for r in records]),
         species_consumed=consumed_total,
     )

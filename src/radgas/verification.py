@@ -28,8 +28,6 @@ from .integrator import StepControls, run_simulation, strang_step
 __all__ = [
     "ManufacturedSolution",
     "ConvergenceReport",
-    "gaussian_manufactured_solution",
-    "equilibrium_manufactured_solution",
     "manufactured_source",
     "ManufacturedSources",
     "integrate_manufactured",
@@ -51,13 +49,15 @@ class ManufacturedSolution:
 
     v = 1 + amp_v*g*exp(-rate*t), theta = 1 + amp_theta*g*exp(-rate*t),
     z = amp_z*g*exp(-rate_z*t) and the odd u = amp_u*x*g*exp(-rate*t).  The
-    amplitudes must keep v and theta positive and z inside [0, 1].
+    amplitudes must keep v and theta positive and z inside [0, 1]; the
+    defaults are those of the verify suite's refinement studies, and zero
+    amplitudes give the rest state, where every source vanishes.
     """
 
-    amp_v: float
-    amp_u: float
-    amp_theta: float
-    amp_z: float
+    amp_v: float = 0.1
+    amp_u: float = 0.1
+    amp_theta: float = 0.15
+    amp_z: float = 0.4
     width: float = 1.0
     rate: float = 1.0
     rate_z: float = 0.5
@@ -82,19 +82,6 @@ class ManufacturedSolution:
             z=self.z(t, grid.cell_centers),
             u=self.u(t, grid.node_positions),
         )
-
-
-def gaussian_manufactured_solution(
-    amp_v=0.1, amp_u=0.1, amp_theta=0.15, amp_z=0.4, width=1.0,
-    rate=1.0, rate_z=0.5,
-) -> ManufacturedSolution:
-    """Gaussian bumps decaying like exp(-rate*t); u gets an odd x*g profile."""
-    return ManufacturedSolution(amp_v, amp_u, amp_theta, amp_z, width, rate, rate_z)
-
-
-def equilibrium_manufactured_solution() -> ManufacturedSolution:
-    """The rest state as a manufactured solution; every source vanishes."""
-    return ManufacturedSolution(0.0, 0.0, 0.0, 0.0)
 
 
 def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):

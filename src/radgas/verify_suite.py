@@ -40,8 +40,8 @@ from .integrator import (
     tridiagonal_solve,
 )
 from .verification import (
+    ManufacturedSolution,
     convergence_study,
-    gaussian_manufactured_solution,
     oracle_compare,
     temporal_convergence_study,
 )
@@ -142,7 +142,7 @@ def _check_species_max_principle(params, rng):
 
 
 def _check_mms_spatial(params):
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     report = convergence_study(ms, params, [64, 128, 256], T=0.5)
     orders = {f: report.orders[f][-1] for f in report.orders}
     ok = all(1.8 <= o <= 2.2 for o in orders.values())
@@ -151,7 +151,7 @@ def _check_mms_spatial(params):
 
 
 def _check_mms_temporal(params):
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     report = temporal_convergence_study(ms, params, N=256, dts=[0.006, 0.003, 0.0015], T=0.3)
     orders = {f: min(report.orders[f]) for f in report.orders}
     ok = all(o >= 1.8 for o in orders.values())
@@ -204,7 +204,7 @@ REPRESENTATION_HALVING = 0.5  # error ratio against the cadence-doubled probe
 
 def _plateau_drifts(res):
     """Relative change of each extremum between the windows [T/4, T/2] and [T/2, T]."""
-    t = res.sample_times
+    t = res.column("t")
     T = res.spec.T_end
     drifts = {}
     for col, agg in (("min_v", np.min), ("max_v", np.max),
@@ -238,10 +238,10 @@ def _confinement(res):
 
 def _functional_growth(res):
     """Second-half relative growth of X+Y and of the running max of max_theta / bound(Y)."""
-    half = np.searchsorted(res.sample_times, res.spec.T_end / 2)
-    XY = res.column("X_acc") + res.column("Y_run")
+    half = np.searchsorted(res.column("t"), res.spec.T_end / 2)
+    XY = res.column("X") + res.column("Y")
     ratio = res.column("max_theta") / np.array(
-        [theta_bound_from_Y(res.spec.params, y) for y in res.column("Y_run")]
+        [theta_bound_from_Y(res.spec.params, y) for y in res.column("Y")]
     )
     run_max = np.maximum.accumulate(ratio)
     return (XY[-1] - XY[half]) / XY[half], (run_max[-1] - run_max[half]) / run_max[half]

@@ -66,8 +66,8 @@ def test_c02_momentum_conservation(canonical_run):
     reversed.  The full-run change is printed so that this stays visible.
     """
     mom = canonical_run.column("momentum")
-    bdry = canonical_run.column("boundary_deviation")
-    t = canonical_run.sample_times
+    bdry = canonical_run.column("boundary_dev")
+    t = canonical_run.column("t")
     rel = np.abs(mom - mom[0]) / abs(mom[0])
     n = int(np.cumprod(bdry <= 1e-13).sum())
     worst = float(np.max(rel[:n])) if n else math.inf
@@ -115,11 +115,11 @@ def test_c05_uniform_bounds_plateau(canonical_run):
 def test_c06_decay_toward_equilibrium(canonical_run):
     checks = []
     ok = True
-    for key in ("Linf", "L4", "grad_L2"):
-        series = np.array([r.norms[key] for r in canonical_run.records])
+    for col in ("dev_Linf", "dev_L4", "grad_L2"):
+        series = canonical_run.column(col)
         frac = float(series[-1] / np.max(series))
         ok = ok and frac < 0.5
-        checks.append(f"{key} final/max {frac:.1%}")
+        checks.append(f"{col.removeprefix('dev_')} final/max {frac:.1%}")
     strictly_down = vs._confinement(canonical_run)[1]
     ok = ok and strictly_down
     checks.append(f"z_L1 strictly decreasing {strictly_down}")

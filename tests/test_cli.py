@@ -329,6 +329,22 @@ def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("bvals, betavals, workers", [
+    ("3.0000001, 3.0000002", "2", "1"),  # two b values that print alike
+    ("3", "11, b+8", "2"),  # the same cell twice
+])
+def test_sweep_cells_sharing_an_output_directory_exit_2(tmp_path, capsys, bvals, betavals,
+                                                        workers):
+    """Two cells that name the same ``cell_b{b:g}_beta{beta:g}`` directory would
+    overwrite each other's diagnostics.csv or race on its temporary file."""
+    text = SMALL_SCENARIO.format(out=tmp_path / "dup") + SWEEP_TAIL.format(
+        bvals=bvals, betavals=betavals, workers=workers)
+    assert sweep_command(write_config(tmp_path, text)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cell_b3_beta" in err
+    assert not (tmp_path / "dup").exists()
+
+
 INVALID_SCENARIOS = {
     "odd N": {"N = 64": "N = 7"},
     "zero L": {"L = 10.0": "L = 0"},

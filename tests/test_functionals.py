@@ -17,9 +17,7 @@ from radgas.functionals import (
     _u_on_cells,
     _window_cells,
     accumulate_XY,
-    conserved_quantities,
     dissipation_rate,
-    entropy_energy,
     interval_probe,
     make_record,
     norms,
@@ -39,12 +37,17 @@ def equilibrium_state(grid, t=0.0):
 
 
 def _record(state, grid):
-    return make_record(state, grid, PARAMS, 0.0, 0.0)[0]
+    return make_record(state, grid, PARAMS)
+
+
+def _conserved(state, grid):
+    r = _record(state, grid)
+    return r.mass_dev, r.momentum, r.total_energy
 
 
 def test_conserved_quantities_equilibrium():
     grid = build_grid(10.0, 64)
-    assert conserved_quantities(equilibrium_state(grid), grid, PARAMS) == (0.0, 0.0, 0.0)
+    assert _conserved(equilibrium_state(grid), grid) == (0.0, 0.0, 0.0)
 
 
 def test_conserved_quantities_species_only_pulse():
@@ -52,7 +55,7 @@ def test_conserved_quantities_species_only_pulse():
     grid = build_grid(20.0, 512)
     state = equilibrium_state(grid)
     state.z = 0.5 * np.exp(-grid.cell_centers**2)
-    mass, mom, energy = conserved_quantities(state, grid, PARAMS)
+    mass, mom, energy = _conserved(state, grid)
     assert mass == 0.0
     assert mom == 0.0
     assert energy == pytest.approx(PARAMS.lam * 0.5 * math.sqrt(math.pi), rel=0.01)
@@ -63,10 +66,10 @@ def test_conserved_quantities_momentum_parity():
     state = equilibrium_state(grid)
     state.u = 0.1 * np.exp(-grid.node_positions**2)
     state.u[0] = state.u[-1] = 0.0
-    _, mom_plus, e_plus = conserved_quantities(state, grid, PARAMS)
+    _, mom_plus, e_plus = _conserved(state, grid)
     flipped = state.copy()
     flipped.u = -state.u
-    _, mom_minus, e_minus = conserved_quantities(flipped, grid, PARAMS)
+    _, mom_minus, e_minus = _conserved(flipped, grid)
     assert mom_minus == -mom_plus
     assert e_minus == e_plus
 
@@ -91,7 +94,7 @@ def test_dissipation_single_mode_matches_quadrature():
 
 def test_entropy_energy_equilibrium_zero():
     grid = build_grid(10.0, 64)
-    assert entropy_energy(equilibrium_state(grid), grid, PARAMS) == 0.0
+    assert _record(equilibrium_state(grid), grid).G == 0.0
 
 
 def test_entropy_energy_single_cell_volume_bump():
@@ -99,7 +102,7 @@ def test_entropy_energy_single_cell_volume_bump():
     state = equilibrium_state(grid)
     state.v[10] = math.e
     expected = PARAMS.R * (math.e - 2.0) * grid.dx
-    assert entropy_energy(state, grid, PARAMS) == pytest.approx(expected, rel=1e-12)
+    assert _record(state, grid).G == pytest.approx(expected, rel=1e-12)
 
 
 def test_entropy_energy_matches_direct_resum():
@@ -114,7 +117,7 @@ def test_entropy_energy_matches_direct_resum():
     masses[0] = masses[-1] = 0.5 * grid.dx
     direct = np.sum(entropy_eta(PARAMS, state.v, state.theta)) * grid.dx
     direct += 0.5 * np.sum(masses * state.u**2)
-    assert entropy_energy(state, grid, PARAMS) == pytest.approx(direct, rel=1e-14)
+    assert _record(state, grid).G == pytest.approx(direct, rel=1e-14)
 
 
 def test_norms_equilibrium_all_zero():
@@ -352,7 +355,7 @@ def test_streamed_history_functionals_equal_the_whole_state_forms(small_gaussian
             assert np.array_equal(probe.v_reconstructed, v_rec)
             assert np.array_equal(probe.max_rel_error, max_rel)
 
-    times = res.sample_times
+    times = res.column("t")
     assert abs(times[0] - 0.0625) == abs(times[1] - 0.0625)  # a tie
     assert requested[-1] > times[-1]  # past T_end
     for t, state in zip(requested, nearest.states):
@@ -367,8 +370,8 @@ def test_theta_bound_from_Y_values():
 
 
 def test_XY_nondecreasing_along_canonical_history(canonical_run):
-    X = canonical_run.column("X_acc")
-    Y = canonical_run.column("Y_run")
+    X = canonical_run.column("X")
+    Y = canonical_run.column("Y")
     assert np.all(np.diff(X) >= 0.0)
     assert np.all(np.diff(Y) >= 0.0)
 
@@ -383,8 +386,8 @@ def test_XY_robust_under_cadence_doubling(canonical_run, canonical_states):
 
 
 def test_record_history_matches_accumulate_XY(canonical_run, canonical_states):
-    X_inc = canonical_run.column("X_acc")[-1]
-    Y_inc = canonical_run.column("Y_run")[-1]
+    X_inc = canonical_run.column("X")[-1]
+    Y_inc = canonical_run.column("Y")[-1]
     X_direct, Y_direct = accumulate_XY(
         canonical_states, canonical_run.spec.params, canonical_run.grid
     )
@@ -405,8 +408,8 @@ def test_boundary_deviation_guard_on_canonical_run(canonical_run):
     lifts it past 1e-6 at t = 4.2 and to about 6e-2 in the end.
     """
     mom = canonical_run.column("momentum")
-    bdry = canonical_run.column("boundary_deviation")
-    t = canonical_run.sample_times
+    bdry = canonical_run.column("boundary_dev")
+    t = canonical_run.column("t")
     n = int(np.cumprod(np.abs(mom - mom[0]) <= 1e-13 * abs(mom[0])).sum())
     assert n >= 50, f"momentum moved after only {n} samples (t = {t[n]:.2f}); at least 50 required"
     worst = float(np.max(bdry[:n]))

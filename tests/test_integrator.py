@@ -16,7 +16,7 @@ from radgas.errors import (
     PositivityError,
     SingularMatrixError,
 )
-from radgas.functionals import conserved_quantities
+from radgas.functionals import make_record
 from radgas.integrator import (
     StepControls,
     _check_state_bounds,
@@ -95,11 +95,11 @@ def test_hydro_conserves_mass_and_momentum_for_far_field_states():
     grid = build_grid(10.0, 128)
     state = gaussian_state(grid)
     dt = 0.02
-    mass0, mom0, _ = conserved_quantities(state, grid, PARAMS)
-    out = hydro_step(state, grid, PARAMS, dt)
-    mass1, mom1, _ = conserved_quantities(out, grid, PARAMS)
-    assert abs(mass1 - mass0) <= 1e-14 * max(1.0, abs(mass0))
-    assert abs(mom1 - mom0) <= 1e-13 * max(1.0, abs(mom0))
+    before = make_record(state, grid, PARAMS)
+    after = make_record(hydro_step(state, grid, PARAMS, dt), grid, PARAMS)
+    mass0, mom0 = before.mass_dev, before.momentum
+    assert abs(after.mass_dev - mass0) <= 1e-14 * max(1.0, abs(mass0))
+    assert abs(after.momentum - mom0) <= 1e-13 * max(1.0, abs(mom0))
 
 
 def test_hydro_positivity_error_on_tight_floor():
@@ -334,7 +334,7 @@ def test_run_simulation_equilibrium_returns_initial():
         np.max(np.abs(res.final_state.u)),
     )
     assert drift <= 1e-12
-    assert res.sample_times[-1] == pytest.approx(1.0)
+    assert res.column("t")[-1] == pytest.approx(1.0)
 
 
 def test_run_simulation_reactant_mass_decays(small_gaussian_spec):

@@ -12,12 +12,11 @@ from radgas.domain import ScenarioSpec, build_grid
 from radgas.errors import ConfigError
 from radgas.verification import (
     FIELDS,
+    ManufacturedSolution,
     ManufacturedSources,
     _STORE_SIZE,
     _orders,
     convergence_study,
-    equilibrium_manufactured_solution,
-    gaussian_manufactured_solution,
     integrate_manufactured,
     manufactured_source,
     oracle_compare,
@@ -28,7 +27,7 @@ PARAMS = GasParameters()
 
 
 def test_equilibrium_solution_has_zero_sources():
-    ms = equilibrium_manufactured_solution()
+    ms = ManufacturedSolution(0.0, 0.0, 0.0, 0.0)
     x = np.linspace(-5, 5, 11)
     for s in manufactured_source(ms, PARAMS, 0.7, x):
         assert np.array_equal(s, np.zeros_like(x))
@@ -38,7 +37,7 @@ def test_volume_only_solution_spot_value():
     """With u = 0, theta = 1, z = 0 the volume residual is just d/dt of v, the
     species residual vanishes, and the momentum residual is the pressure
     gradient of the tilted volume."""
-    ms = gaussian_manufactured_solution(amp_u=0.0, amp_theta=0.0, amp_z=0.0)
+    ms = ManufacturedSolution(amp_u=0.0, amp_theta=0.0, amp_z=0.0)
     t = 0.3
     x = np.array([-1.0, 0.0, 0.5, 2.0])
     v_t = -ms.rate * ms.amp_v * np.exp(-(x * x) / (ms.width * ms.width)) * math.exp(-ms.rate * t)
@@ -81,7 +80,7 @@ def _finite_difference_sources(ms, params, t, x, h=1e-4):
 
 
 def test_sources_match_finite_difference_oracle():
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     x = np.array([-2.0, -0.5, 0.0, 0.7, 1.8])
     analytic = manufactured_source(ms, PARAMS, 0.3, x)
     numeric = _finite_difference_sources(ms, PARAMS, 0.3, x)
@@ -90,7 +89,7 @@ def test_sources_match_finite_difference_oracle():
 
 
 def test_temperature_substep_source_accounts_for_volume_residual():
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     grid = build_grid(8.0, 64)
     sources = ManufacturedSources(ms, PARAMS, grid)
     x = grid.cell_centers
@@ -126,7 +125,7 @@ class PerComponentSources:
 def test_shared_sources_match_per_component_evaluation():
     """Interleaved and repeated times, more distinct ones than the adapter keeps,
     on the cells (Sv, Stheta, Sz) and the interior nodes (Su)."""
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     grid = build_grid(8.0, 64)
     sources = ManufacturedSources(ms, PARAMS, grid)
     reference = PerComponentSources(ms, PARAMS, grid)
@@ -141,14 +140,14 @@ def test_shared_sources_match_per_component_evaluation():
 
 
 def test_shared_sources_are_read_only():
-    sources = ManufacturedSources(gaussian_manufactured_solution(), PARAMS, build_grid(8.0, 64))
+    sources = ManufacturedSources(ManufacturedSolution(), PARAMS, build_grid(8.0, 64))
     for name in ("Sv", "Stheta", "Sz"):
         with pytest.raises(ValueError):
             getattr(sources, name)(0.4)[0] = 0.0
 
 
 def test_integration_with_shared_sources_is_bit_identical(monkeypatch):
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     shared = integrate_manufactured(ms, PARAMS, 8.0, 64, 0.2, 0.01)
     monkeypatch.setattr(verification, "ManufacturedSources", PerComponentSources)
     plain = integrate_manufactured(ms, PARAMS, 8.0, 64, 0.2, 0.01)
@@ -158,7 +157,7 @@ def test_integration_with_shared_sources_is_bit_identical(monkeypatch):
 
 
 def test_manufactured_fields_stay_physical():
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     grid = build_grid(8.0, 256)
     for t in (0.0, 0.25, 1.0):
         state = ms.state(grid, t)
@@ -171,7 +170,7 @@ def test_manufactured_fields_stay_physical():
 
 def test_convergence_study_equilibrium_is_exact():
     report = convergence_study(
-        equilibrium_manufactured_solution(), PARAMS, [16, 32, 64], T=0.25, L=4.0
+        ManufacturedSolution(0.0, 0.0, 0.0, 0.0), PARAMS, [16, 32, 64], T=0.25, L=4.0
     )
     for f in ("v", "u", "theta", "z"):
         assert report.errors[-1][f]["L2"] < 1e-14
@@ -186,7 +185,7 @@ def test_orders_of_exact_levels():
 
 
 def test_convergence_study_input_validation():
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     with pytest.raises(ConfigError):
         convergence_study(ms, PARAMS, [32, 64], T=0.1)
     with pytest.raises(ConfigError):
@@ -196,7 +195,7 @@ def test_convergence_study_input_validation():
 
 
 def test_error_sequence_strictly_decreasing_for_smooth_fields():
-    ms = gaussian_manufactured_solution()
+    ms = ManufacturedSolution()
     report = convergence_study(ms, PARAMS, [32, 64, 128], T=0.25)
     for f in ("v", "u", "theta", "z"):
         seq = [e[f]["L2"] for e in report.errors]
