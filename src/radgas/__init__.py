@@ -14,8 +14,11 @@ from .domain import (
     Grid,
     ScenarioSpec,
     State,
+    StepControls,
     build_grid,
+    controls_for,
     make_initial_data,
+    norms,
     validate_initial_data,
     validate_parameters,
 )
@@ -33,10 +36,8 @@ from .functionals import (
     ProbeWindow,
     RepresentationProbe,
     WindowHistory,
-    accumulate_XY,
     dissipation_rate,
     interval_probe,
-    norms,
     oscillation_ratio,
     representation_check,
     temperature_envelope_check,
@@ -44,9 +45,7 @@ from .functionals import (
 )
 from .integrator import (
     RunResult,
-    StepControls,
     StepOutcome,
-    controls_for,
     heat_step,
     hydro_step,
     run_simulation,

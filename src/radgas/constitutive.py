@@ -100,6 +100,8 @@ def _e_theta(params, v, theta_cu):
 
 
 def _energy_theta_chord(params, v, theta0, theta1, theta0_sq, theta0_cu, theta1_cu):
+    # Exact secant slope (e(v,theta1) - e(v,theta0))/(theta1 - theta0), equal to
+    # e_theta when the two coincide; strictly positive, so the heat solve is well posed
     cubic = theta1_cu + theta1**2 * theta0 + theta1 * theta0_sq + theta0_cu
     return params.Cv + params.a * v * cubic
 
@@ -143,19 +145,6 @@ def constitutive_partials(params: GasParameters, v, theta):
     theta_cu = theta**3
     e_v = params.a * theta**4
     return _p_v(params, v, theta), _p_theta(params, v, theta_cu), e_v, _e_theta(params, v, theta_cu)
-
-
-def energy_theta_chord(params: GasParameters, v, theta0, theta1):
-    """Exact secant slope of internal energy in theta between theta0 and theta1.
-
-    Cv + a*v*(theta1^3 + theta1^2*theta0 + theta1*theta0^2 + theta0^3), which
-    is the polynomial identity for (e(v,theta1) - e(v,theta0))/(theta1 - theta0)
-    and degenerates to e_theta when the two temperatures coincide.  Strictly
-    positive, so implicit temperature updates stay well posed.
-    """
-    _check_quadrant(v, theta0)
-    _check_quadrant(v, theta1)
-    return _energy_theta_chord(params, v, theta0, theta1, theta0**2, theta0**3, theta1**3)
 
 
 def entropy_eta(params: GasParameters, v, theta):

@@ -27,9 +27,7 @@ __all__ = [
     "RepresentationProbe",
     "WindowHistory",
     "dissipation_rate",
-    "accumulate_XY",
     "accumulate_XY_increment",
-    "norms",
     "interval_probe",
     "oscillation_ratio",
     "representation_check",
@@ -146,24 +144,6 @@ def accumulate_XY_increment(prev: State, cur: State, params: GasParameters, grid
     th_t = (cur.theta - prev.theta) / dt
     weight = 1.0 + cur.theta ** (params.b + 3.0)
     return float(dt * np.sum(weight * th_t**2) * grid.dx)
-
-
-def accumulate_XY(states, params: GasParameters, grid: Grid):
-    """(X, Y) over a sampled history.
-
-    X integrates (1 + theta^(b+3)) * theta_t^2 with backward differences
-    between consecutive samples; Y is the running supremum of the weighted
-    squared temperature gradient, including the initial sample.  Both are
-    nondecreasing in the history length by construction.
-    """
-    if len(states) < 2:
-        raise InsufficientHistory("need at least 2 sampled states")
-    X = 0.0
-    Y = _Y_now(states[0], grid, params)
-    for prev, cur in zip(states[:-1], states[1:]):
-        X += accumulate_XY_increment(prev, cur, params, grid)
-        Y = max(Y, _Y_now(cur, grid, params))
-    return X, Y
 
 
 def make_record(state: State, grid: Grid, params: GasParameters, prev=None, prev_state=None):
@@ -300,14 +280,6 @@ class WindowHistory:
         self._strip_w = _strip_weights(grid, k + 1.0, k + 2.0)
         self._u0_c = None
         self.t, self.B, self.stress, self.v, self.theta = [], [], [], [], []
-
-    @classmethod
-    def of(cls, states, grid: Grid, params: GasParameters, k: int) -> "WindowHistory":
-        """The history of a list of sampled states."""
-        history = cls(grid, params, k)
-        for s in states:
-            history.append(s)
-        return history
 
     def append(self, s: State) -> None:
         idx, dx, params = self.idx, self.grid.dx, self.params

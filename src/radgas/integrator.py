@@ -54,7 +54,6 @@ from .errors import (
 )
 
 __all__ = [
-    "StepControls",
     "StepOutcome",
     "RunResult",
     "tridiagonal_solve",
@@ -64,7 +63,6 @@ __all__ = [
     "species_step",
     "strang_step",
     "run_simulation",
-    "controls_for",
 ]
 
 Z_BOUND_TOL = 1e-12

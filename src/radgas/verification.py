@@ -21,14 +21,13 @@ from .constitutive import (
     _pressure,
     _reaction_rate,
 )
-from .domain import Grid, ScenarioSpec, State, build_grid
+from .domain import Grid, ScenarioSpec, State, StepControls, build_grid
 from .errors import ConfigError
-from .integrator import StepControls, run_simulation, strang_step
+from .integrator import run_simulation, strang_step
 
 __all__ = [
     "ManufacturedSolution",
     "ConvergenceReport",
-    "manufactured_source",
     "ManufacturedSources",
     "integrate_manufactured",
     "convergence_study",
@@ -85,7 +84,13 @@ class ManufacturedSolution:
 
 
 def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
-    """(S_v, S_u, S_e, S_z, e_v): manufactured_source's residuals and the e_v they used."""
+    """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x), and the e_v they used.
+
+    Adding the residuals to the respective right-hand sides makes the
+    manufactured fields an exact solution.  S_e is the residual of the energy
+    equation; the split integrator's temperature substep consumes the
+    temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
+    """
     x = np.asarray(x, dtype=float)
     w2 = ms.width * ms.width
     g = _gaussian(x, ms.width)
@@ -136,17 +141,6 @@ def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
     )
     S_z = z_t - params.d * (z_xx / v**2 - 2.0 * z_x * v_x / v**3) + phi * z
     return S_v, S_u, S_e, S_z, e_v
-
-
-def manufactured_source(ms: ManufacturedSolution, params: GasParameters, t, x):
-    """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x).
-
-    Adding these to the respective right-hand sides makes the manufactured
-    fields an exact solution.  The third component is the residual of the
-    energy equation; the split integrator's temperature substep consumes the
-    temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
-    """
-    return _residuals(ms, params, t, x)[:4]
 
 
 # Times whose cell residuals a ManufacturedSources keeps.  A repeat comes a
@@ -259,7 +253,6 @@ def _orders(errors) -> dict:
 class ConvergenceReport:
     """Errors per resolution and the observed orders between levels."""
 
-    resolutions: list
     errors: list
     orders: dict
 
@@ -288,7 +281,7 @@ def convergence_study(
         state = integrate_manufactured(ms, params, L, N, T, dt_over_dx * dx)
         grid = build_grid(L, N)
         errors.append(_field_errors(state, vars(ms.state(grid, T)), grid.dx))
-    return ConvergenceReport(resolutions=list(resolutions), errors=errors, orders=_orders(errors))
+    return ConvergenceReport(errors=errors, orders=_orders(errors))
 
 
 def temporal_convergence_study(
@@ -316,7 +309,7 @@ def temporal_convergence_study(
         _field_errors(integrate_manufactured(ms, params, L, N, T, dt), vars(ref), grid.dx)
         for dt in dts
     ]
-    return ConvergenceReport(resolutions=list(dts), errors=errors, orders=_orders(errors))
+    return ConvergenceReport(errors=errors, orders=_orders(errors))
 
 
 def _restrict_to_coarse(fine: State, ratio: int) -> dict:

@@ -23,7 +23,7 @@ from .constitutive import (
     internal_energy,
     pressure,
 )
-from .domain import State, build_grid, make_initial_data
+from .domain import State, build_grid, controls_for, make_initial_data
 from .errors import InsufficientHistory, WindowOutOfDomain
 from .functionals import (
     WindowHistory,
@@ -32,7 +32,6 @@ from .functionals import (
     theta_bound_from_Y,
 )
 from .integrator import (
-    controls_for,
     run_simulation,
     select_timestep,
     species_step,

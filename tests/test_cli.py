@@ -347,6 +347,7 @@ def test_sweep_cells_sharing_an_output_directory_exit_2(tmp_path, capsys, bvals,
 
 INVALID_SCENARIOS = {
     "odd N": {"N = 64": "N = 7"},
+    "huge N": {"N = 64": "N = 1000000000000"},
     "zero L": {"L = 10.0": "L = 0"},
     "far field": {"width = 1.0": "width = 5.0"},
     "empty probe window": {"L = 10.0": "L = 20.0", "N = 64": "N = 8", "probes = 0, 2": "probes = 0"},

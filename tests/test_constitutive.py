@@ -11,7 +11,6 @@ from radgas.constitutive import (
     conduction_potential,
     conductivity,
     constitutive_partials,
-    energy_theta_chord,
     entropy_eta,
     internal_energy,
     pressure,
@@ -151,7 +150,7 @@ def test_kernels_equal_public_functions():
     gp = params(R=0.7, Cv=1.4, a=0.8, kappa1=0.6, kappa2=1.3, b=1.8, K_react=2.0, A=1.5,
                 beta=9.8)
     rng = np.random.default_rng(23)
-    v, t0, t1 = rng.uniform(0.05, 20.0, size=(3, 1000))
+    v, _, t1 = rng.uniform(0.05, 20.0, size=(3, 1000))
     cu = t1**3
     p_v, p_theta, _, e_theta = constitutive_partials(gp, v, t1)
     pairs = (
@@ -161,11 +160,13 @@ def test_kernels_equal_public_functions():
         (constitutive._p_v(gp, v, t1), p_v),
         (constitutive._p_theta(gp, v, cu), p_theta),
         (constitutive._e_theta(gp, v, cu), e_theta),
-        (constitutive._energy_theta_chord(gp, v, t0, t1, t0**2, t0**3, cu),
-         energy_theta_chord(gp, v, t0, t1)),
     )
     for kernel, public in pairs:
         assert np.array_equal(kernel, public)
+
+
+def energy_theta_chord(gp, v, t0, t1):
+    return constitutive._energy_theta_chord(gp, v, t0, t1, t0**2, t0**3, t1**3)
 
 
 def test_energy_chord_matches_secant_and_slope():

@@ -1,26 +1,27 @@
 """Diagnostics functionals: hand values, analytic oracles, history probes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radgas.cli import _NearestSamples
 from radgas.constitutive import GasParameters, pressure
-from radgas.domain import ScenarioSpec, State, build_grid
+from radgas.domain import ScenarioSpec, State, build_grid, norms
 from radgas.errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 from radgas.functionals import (
     WindowHistory,
+    _Y_now,
     _cutoff,
     _strip_weights,
     _suffix_trapezoid,
     _u_on_cells,
     _window_cells,
-    accumulate_XY,
+    accumulate_XY_increment,
     dissipation_rate,
     interval_probe,
     make_record,
-    norms,
     oscillation_ratio,
     representation_check,
     temperature_envelope_check,
@@ -38,6 +39,37 @@ def equilibrium_state(grid, t=0.0):
 
 def _record(state, grid):
     return make_record(state, grid, PARAMS)
+
+
+def _streamed_record(states, grid):
+    """The record of the last state, X and Y carried through every sample as a run does."""
+    record = prev_state = None
+    for state in states:
+        record = make_record(state, grid, PARAMS, record, prev_state)
+        prev_state = state
+    return record
+
+
+def accumulate_XY(states, params, grid):
+    """(X, Y) over a sampled history: the reference for the streamed X/Y columns.
+
+    X integrates (1 + theta^(b+3)) * theta_t^2 with backward differences
+    between consecutive samples; Y is the running supremum of the weighted
+    squared temperature gradient, including the initial sample.
+    """
+    X = 0.0
+    Y = _Y_now(states[0], grid, params)
+    for prev, cur in zip(states[:-1], states[1:]):
+        X += accumulate_XY_increment(prev, cur, params, grid)
+        Y = max(Y, _Y_now(cur, grid, params))
+    return X, Y
+
+
+def _history(states, grid, k):
+    history = WindowHistory(grid, PARAMS, k)
+    for state in states:
+        history.append(state)
+    return history
 
 
 def _conserved(state, grid):
@@ -67,8 +99,7 @@ def test_conserved_quantities_momentum_parity():
     state.u = 0.1 * np.exp(-grid.node_positions**2)
     state.u[0] = state.u[-1] = 0.0
     _, mom_plus, e_plus = _conserved(state, grid)
-    flipped = state.copy()
-    flipped.u = -state.u
+    flipped = replace(state, u=-state.u)
     _, mom_minus, e_minus = _conserved(flipped, grid)
     assert mom_minus == -mom_plus
     assert e_minus == e_plus
@@ -201,21 +232,17 @@ def test_oscillation_ratio_exponent_range_enforced():
 def test_accumulate_XY_trivial_histories():
     grid = build_grid(10.0, 64)
     states = [equilibrium_state(grid, t=0.1 * i) for i in range(5)]
-    X, Y = accumulate_XY(states, PARAMS, grid)
-    assert X == 0.0 and Y == 0.0
-    with pytest.raises(InsufficientHistory):
-        accumulate_XY(states[:1], PARAMS, grid)
+    record = _streamed_record(states, grid)
+    assert record.X == 0.0 and record.Y == 0.0
 
 
 def test_accumulate_XY_identical_pair_contributes_nothing():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
     state.theta = 1.0 + 0.1 * np.exp(-grid.cell_centers**2)
-    later = state.copy()
-    later.t = 1.0
-    X, Y = accumulate_XY([state, later], PARAMS, grid)
-    assert X == 0.0
-    assert Y > 0.0
+    record = _streamed_record([state, replace(state, t=1.0)], grid)
+    assert record.X == 0.0
+    assert record.Y > 0.0
 
 
 def test_representation_equilibrium_reconstruction():
@@ -223,7 +250,7 @@ def test_representation_equilibrium_reconstruction():
     spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=1.0)
     states = []
     res = run_simulation(spec, sample_cadence=0.005, on_sample=states.append)
-    probe = representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 1.0)
+    probe = representation_check(_history(states, res.grid, 2), 1.0)
     p_rest = PARAMS.R + PARAMS.a / 3.0
     assert probe.Q == pytest.approx(math.exp(-p_rest * 1.0 / PARAMS.mu), rel=1e-6)
     assert np.max(np.abs(probe.B - 1.0)) < 1e-14
@@ -235,7 +262,7 @@ def test_representation_at_time_zero_returns_initial_volume():
                         amplitude_z=0.5, L=10.0, N=128, T_end=0.2)
     states = []
     res = run_simulation(spec, sample_cadence=0.1, on_sample=states.append)
-    probe = representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 0.0)
+    probe = representation_check(_history(states, res.grid, 2), 0.0)
     idx = np.nonzero(np.abs(res.grid.cell_centers) <= 3.0)[0]
     assert np.max(np.abs(probe.v_reconstructed - states[0].v[idx])) < 1e-14
 
@@ -245,11 +272,11 @@ def test_representation_window_and_history_guards():
     states = []
     res = run_simulation(spec, sample_cadence=0.1, on_sample=states.append)
     with pytest.raises(WindowOutOfDomain):
-        representation_check(WindowHistory.of(states, res.grid, PARAMS, 9), 0.2)
+        representation_check(_history(states, res.grid, 9), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(WindowHistory.of(states[:1], res.grid, PARAMS, 2), 0.2)
+        representation_check(_history(states[:1], res.grid, 2), 0.2)
     with pytest.raises(InsufficientHistory):
-        representation_check(WindowHistory.of(states, res.grid, PARAMS, 2), 5.0)
+        representation_check(_history(states, res.grid, 2), 5.0)
 
 
 def test_temperature_envelope_trivial_histories():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from radgas.constitutive import GasParameters, internal_energy, reaction_rate
-from radgas.domain import ScenarioSpec, State, build_grid, make_initial_data
+from radgas.domain import (
+    ScenarioSpec,
+    State,
+    StepControls,
+    build_grid,
+    controls_for,
+    make_initial_data,
+)
 import radgas.integrator as integrator
 from radgas.errors import (
     BlowUpError,
@@ -18,9 +25,7 @@ from radgas.errors import (
 )
 from radgas.functionals import make_record
 from radgas.integrator import (
-    StepControls,
     _check_state_bounds,
-    controls_for,
     heat_step,
     hydro_step,
     run_simulation,

@@ -18,6 +18,15 @@ def test_module_all_resolves(name):
     assert not missing, f"radgas.{name}.__all__ names missing attributes: {missing}"
 
 
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(radgas.__path__)])
+def test_module_all_names_are_defined_there(name):
+    """Each public function or class has one home: the module whose __all__ names it."""
+    module = importlib.import_module(f"radgas.{name}")
+    elsewhere = [n for n in getattr(module, "__all__", ())
+                 if getattr(getattr(module, n), "__module__", module.__name__) != module.__name__]
+    assert not elsewhere, f"radgas.{name}.__all__ names what other modules define: {elsewhere}"
+
+
 def test_package_imports_resolve_and_are_public():
     tree = ast.parse(Path(radgas.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]

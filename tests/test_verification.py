@@ -18,7 +18,6 @@ from radgas.verification import (
     _orders,
     convergence_study,
     integrate_manufactured,
-    manufactured_source,
     oracle_compare,
     temporal_convergence_study,
 )
@@ -29,7 +28,7 @@ PARAMS = GasParameters()
 def test_equilibrium_solution_has_zero_sources():
     ms = ManufacturedSolution(0.0, 0.0, 0.0, 0.0)
     x = np.linspace(-5, 5, 11)
-    for s in manufactured_source(ms, PARAMS, 0.7, x):
+    for s in verification._residuals(ms, PARAMS, 0.7, x)[:4]:
         assert np.array_equal(s, np.zeros_like(x))
 
 
@@ -41,7 +40,7 @@ def test_volume_only_solution_spot_value():
     t = 0.3
     x = np.array([-1.0, 0.0, 0.5, 2.0])
     v_t = -ms.rate * ms.amp_v * np.exp(-(x * x) / (ms.width * ms.width)) * math.exp(-ms.rate * t)
-    S_v, S_u, S_e, S_z = manufactured_source(ms, PARAMS, t, x)
+    S_v, S_u, S_e, S_z = verification._residuals(ms, PARAMS, t, x)[:4]
     assert np.array_equal(S_v, v_t)
     assert np.array_equal(S_z, np.zeros_like(x))
     assert np.all(S_u[x != 0.0] != 0.0)
@@ -82,7 +81,7 @@ def _finite_difference_sources(ms, params, t, x, h=1e-4):
 def test_sources_match_finite_difference_oracle():
     ms = ManufacturedSolution()
     x = np.array([-2.0, -0.5, 0.0, 0.7, 1.8])
-    analytic = manufactured_source(ms, PARAMS, 0.3, x)
+    analytic = verification._residuals(ms, PARAMS, 0.3, x)[:4]
     numeric = _finite_difference_sources(ms, PARAMS, 0.3, x)
     for a, f in zip(analytic, numeric):
         assert np.max(np.abs(a - f)) / max(1.0, np.max(np.abs(f))) < 1e-6
@@ -94,32 +93,32 @@ def test_temperature_substep_source_accounts_for_volume_residual():
     sources = ManufacturedSources(ms, PARAMS, grid)
     x = grid.cell_centers
     t = 0.4
-    S_v, _, S_e, _ = manufactured_source(ms, PARAMS, t, x)
+    S_v, _, S_e, _ = verification._residuals(ms, PARAMS, t, x)[:4]
     e_v = constitutive.constitutive_partials(PARAMS, ms.v(t, x), ms.theta(t, x))[2]
     assert np.array_equal(sources.Stheta(t), S_e - e_v * S_v)
 
 
 class PerComponentSources:
-    """Each source evaluates manufactured_source on its own points; nothing is shared."""
+    """Each source evaluates the residuals on its own points; nothing is shared."""
 
     def __init__(self, ms, params, grid):
         self.ms, self.params = ms, params
         self.cells, self.nodes = grid.cell_centers, grid.node_positions[1:-1]
 
     def Sv(self, t):
-        return manufactured_source(self.ms, self.params, t, self.cells)[0]
+        return verification._residuals(self.ms, self.params, t, self.cells)[0]
 
     def Su(self, t):
-        return manufactured_source(self.ms, self.params, t, self.nodes)[1]
+        return verification._residuals(self.ms, self.params, t, self.nodes)[1]
 
     def Stheta(self, t):
         x = self.cells
-        S_v, _, S_e, _ = manufactured_source(self.ms, self.params, t, x)
+        S_v, _, S_e, _ = verification._residuals(self.ms, self.params, t, x)[:4]
         e_v = constitutive.constitutive_partials(self.params, self.ms.v(t, x), self.ms.theta(t, x))[2]
         return S_e - e_v * S_v
 
     def Sz(self, t):
-        return manufactured_source(self.ms, self.params, t, self.cells)[3]
+        return verification._residuals(self.ms, self.params, t, self.cells)[3]
 
 
 def test_shared_sources_match_per_component_evaluation():
