@@ -14,9 +14,7 @@ from .domain import (
     Grid,
     ScenarioSpec,
     State,
-    StepControls,
     build_grid,
-    controls_for,
     make_initial_data,
     norms,
     validate_initial_data,

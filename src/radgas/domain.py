@@ -18,7 +18,6 @@ __all__ = [
     "Grid",
     "State",
     "ScenarioSpec",
-    "StepControls",
     "ParameterReport",
     "InitialDataReport",
     "build_grid",
@@ -27,7 +26,6 @@ __all__ = [
     "validate_initial_data",
     "boundary_band_cells",
     "boundary_deviation",
-    "controls_for",
     "norms",
 ]
 
@@ -35,6 +33,9 @@ INITIAL_FAR_FIELD_TOL = 1e-8
 # Largest cell count build_grid accepts: a field array then holds 8 MB, and
 # no shipped config, test or benchmark workload uses more than N = 2048
 MAX_CELLS = 2**20
+# Largest Picard sweep cap a scenario accepts: 20x the shipped 50, while the
+# canonical run averages 2.94 sweeps per heat substep
+MAX_PICARD_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,16 @@ class ScenarioSpec:
             raise ConfigError("width must be > 0")
         if self.T_end <= 0:
             raise ConfigError("T_end must be > 0")
-        controls = controls_for(self)  # StepControls owns the cfl, Picard and floor checks
-        grid = build_grid(self.L, self.N)  # and build_grid the L and N checks
+        if not (0.0 < self.cfl <= 1.0):
+            raise ConfigError("cfl must lie in (0, 1]")
+        if not (self.floor_v > 0 and self.floor_theta > 0):
+            raise ConfigError("positivity floors must be > 0")
+        if not (self.picard_tol > 0 and self.picard_max_iters >= 1):
+            raise ConfigError("Picard tolerance must be > 0 and iteration cap >= 1")
+        if self.picard_max_iters > MAX_PICARD_ITERS:
+            raise ConfigError(f"picard_max_iters must be <= {MAX_PICARD_ITERS}, "
+                              f"got {self.picard_max_iters}")
+        grid = build_grid(self.L, self.N)  # build_grid owns the L and N checks
         state = make_initial_data(self, grid)
         report = validate_initial_data(state, grid)
         if not report.passed:
@@ -101,53 +110,17 @@ class ScenarioSpec:
             if not values.min() > floor:
                 raise ConfigError(f"{name} = {floor:g} is not below the initial minimum "
                                   f"{values.min():.6g}")
-        # The first step's species update, halved down to dt_min / 2, must fit
+        # The first step's species update, halved down to DT_MIN / 2, must fit
         # the subcycle cap, or every attempt is rejected (the integrator
         # imports this module, so its names are imported here)
-        from .integrator import MAX_SUBCYCLES, _species_rates
+        from .integrator import DT_MIN, MAX_SUBCYCLES, _species_rates
 
         with np.errstate(over="ignore", invalid="ignore"):
-            needed = _species_rates(state, grid, self.params, 0.5 * controls.dt_min)[3]
+            needed = _species_rates(state, grid, self.params, 0.5 * DT_MIN)[3]
         if not needed <= MAX_SUBCYCLES:
             raise ConfigError(f"the species update needs {needed:.3g} subcycles even at "
-                              f"dt_min = {controls.dt_min:g} (at most {MAX_SUBCYCLES}); "
+                              f"dt_min = {DT_MIN:g} (at most {MAX_SUBCYCLES}); "
                               f"K_react or d is too large")
-
-
-@dataclass(frozen=True)
-class StepControls:
-    """Timestep selection, iteration, and positivity-floor settings."""
-
-    cfl: float = 0.5
-    dt_min: float = 1e-12
-    dt_max: float = np.inf
-    picard_tol: float = 1e-10
-    picard_max_iters: int = 50
-    floor_v: float = 1e-6
-    floor_theta: float = 1e-6
-    max_step_rejections: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError("cfl must lie in (0, 1]")
-        if not (0.0 < self.dt_min <= self.dt_max):
-            raise ConfigError("need 0 < dt_min <= dt_max")
-        if not (self.floor_v > 0 and self.floor_theta > 0):
-            raise ConfigError("positivity floors must be > 0")
-        if not (self.picard_tol > 0 and self.picard_max_iters >= 1):
-            raise ConfigError("Picard tolerance must be > 0 and iteration cap >= 1")
-
-
-def controls_for(spec: ScenarioSpec, dt_max: float = np.inf) -> StepControls:
-    """Build step controls from a scenario, optionally capping the timestep."""
-    return StepControls(
-        cfl=spec.cfl,
-        dt_max=dt_max,
-        picard_tol=spec.picard_tol,
-        picard_max_iters=spec.picard_max_iters,
-        floor_v=spec.floor_v,
-        floor_theta=spec.floor_theta,
-    )
 
 
 def build_grid(L: float, N: int) -> Grid:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import (
-    GasParameters,
     _check_quadrant,
     _conductivity,
     _e_theta,
@@ -40,9 +39,7 @@ from .domain import (
     Grid,
     ScenarioSpec,
     State,
-    StepControls,
     build_grid,
-    controls_for,
     make_initial_data,
 )
 from .errors import (
@@ -66,6 +63,10 @@ __all__ = [
 ]
 
 Z_BOUND_TOL = 1e-12
+# Smallest timestep: select_timestep never returns less, and strang_step
+# gives up once halving goes below it or past MAX_STEP_REJECTIONS rejections
+DT_MIN = 1e-12
+MAX_STEP_REJECTIONS = 30
 # Most species subcycles one update may take; more rejects the step, which
 # halves dt.  Tier-1 and the benchmark workloads need at most 34.
 MAX_SUBCYCLES = 10_000
@@ -233,8 +234,8 @@ def _check_finite(state, names=("v", "theta", "z", "u")):
             raise BlowUpError(f"non-finite {name} in the state at t = {state.t:.6g}")
 
 
-def select_timestep(state: State, grid: Grid, params: GasParameters, controls: StepControls) -> float:
-    """Acoustic CFL timestep, clamped to [dt_min, dt_max].
+def select_timestep(state: State, grid: Grid, spec: ScenarioSpec, dt_max: float = math.inf) -> float:
+    """Acoustic CFL timestep at the scenario's cfl, clamped to [DT_MIN, dt_max].
 
     The per-cell signal speed is v*sqrt(max(-p_v + p_theta^2*theta/e_theta, 0)/v)
     evaluated from the constitutive partials; the cell velocity scale is the
@@ -242,6 +243,7 @@ def select_timestep(state: State, grid: Grid, params: GasParameters, controls: S
     restriction because they are integrated implicitly.  A NaN or inf in
     v, theta or u makes the speed non-finite and raises BlowUpError.
     """
+    params = spec.params
     v, theta = state.v, state.theta
     _check_quadrant(v, theta)
     # a non-finite input is reported below as BlowUpError, not as a numpy warning
@@ -259,12 +261,12 @@ def select_timestep(state: State, grid: Grid, params: GasParameters, controls: S
         _check_finite(state, ("v", "theta", "u"))
         raise BlowUpError(f"acoustic signal speed overflowed at t = {state.t:.6g}")
     if speed <= 0.0:
-        return controls.dt_max if math.isfinite(controls.dt_max) else 1.0
-    raw = controls.cfl * grid.dx / speed
-    return min(max(raw, controls.dt_min), controls.dt_max)
+        return dt_max if math.isfinite(dt_max) else 1.0
+    raw = spec.cfl * grid.dx / speed
+    return min(max(raw, DT_MIN), dt_max)
 
 
-def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=None):
+def hydro_step(state, grid, spec, dt, sources=None):
     """Advance (v, u) by dt with theta frozen.
 
     Position-Verlet: half volume update, trapezoidal implicit solve for the
@@ -273,8 +275,8 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
     boundary nodes never move.  A NaN or inf in the state raises BlowUpError
     naming the field.
     """
-    controls = controls or StepControls()
-    t0 = state.t if t_start is None else t_start
+    params = spec.params
+    t0 = state.t
     dx = grid.dx
     h = dt
     u = state.u
@@ -284,7 +286,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
 
     sv1 = sources.Sv(t0 + 0.25 * h) if sources else 0.0
     v_half = state.v + 0.5 * h * ((u[1:] - u[:-1]) / dx + sv1)
-    if not v_half.min() > controls.floor_v:
+    if not v_half.min() > spec.floor_v:
         raise PositivityError("specific volume fell below floor in half update")
 
     p = _pressure(params, v_half, th)
@@ -302,7 +304,7 @@ def hydro_step(state, grid, params, dt, controls=None, sources=None, t_start=Non
 
     sv2 = sources.Sv(t0 + 0.75 * h) if sources else 0.0
     v_new = v_half + 0.5 * h * ((u_new[1:] - u_new[:-1]) / dx + sv2)
-    if not v_new.min() > controls.floor_v:
+    if not v_new.min() > spec.floor_v:
         raise PositivityError("specific volume fell below floor")
 
     return State(state.t, v_new, th, state.z, u_new)
@@ -331,7 +333,7 @@ def _flux_divergence(values, a):
     return out
 
 
-def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None):
+def heat_step(state, grid, spec, dt, sources=None):
     """Advance theta by dt with v, u, z frozen; returns (state, picard_iters).
 
     Trapezoidal in time: the implicit half uses conduction coefficients and
@@ -342,8 +344,8 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     balance an identity rather than an approximation.  A NaN or inf in the
     state raises BlowUpError naming the field.
     """
-    controls = controls or StepControls()
-    t0 = state.t if t_start is None else t_start
+    params = spec.params
+    t0 = state.t
     dx = grid.dx
     h = dt
     v = state.v
@@ -372,7 +374,7 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
     th_star, th_star_cu = th_old, th_old_cu
     a_new, vol_new = a_old, vol_old
     iters = 0
-    for iters in range(1, controls.picard_max_iters + 1):
+    for iters in range(1, spec.picard_max_iters + 1):
         src_new = vol_new + stheta_new
         e_chord = _energy_theta_chord(params, v, th_old, th_star, th_old_sq, th_old_cu, th_star_cu)
 
@@ -385,16 +387,16 @@ def heat_step(state, grid, params, dt, controls=None, sources=None, t_start=None
             raise ConvergenceError("temperature iterate left the positive cone")
         change = float(np.abs(th_next - th_star).max())
         th_star = th_next
-        if change < controls.picard_tol:
+        if change < spec.picard_tol:
             break
         th_star_cu = th_star**3
         a_new, vol_new = coefficients(th_star, th_star_cu)
     else:
         raise ConvergenceError(
-            f"heat solve did not reach {controls.picard_tol:g} in {controls.picard_max_iters} sweeps"
+            f"heat solve did not reach {spec.picard_tol:g} in {spec.picard_max_iters} sweeps"
         )
 
-    if not th_star.min() > controls.floor_theta:
+    if not th_star.min() > spec.floor_theta:
         raise PositivityError("temperature fell below floor")
     return State(state.t, v, th_star, z, state.u), iters
 
@@ -413,7 +415,7 @@ def _species_rates(state, grid, params, dt):
     return phi, a, rate_scale, 0.5 * dt * float(rate_scale.max())
 
 
-def _species_update(state, grid, params, dt, sources=None, t_start=None):
+def _species_update(state, grid, params, dt, sources=None):
     """Trapezoidal reactant update subcycled to keep the maximum principle.
 
     The subcycle length is chosen so the explicit half of each trapezoidal
@@ -427,7 +429,7 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     an identity up to solver round-off (end faces carry no flux).  An update
     that would need more than MAX_SUBCYCLES subcycles raises ConvergenceError.
     """
-    t0 = state.t if t_start is None else t_start
+    t0 = state.t
     dx = grid.dx
     phi, a, rate_scale, needed = _species_rates(state, grid, params, dt)
     if not needed <= MAX_SUBCYCLES:
@@ -454,22 +456,22 @@ def _species_update(state, grid, params, dt, sources=None, t_start=None):
     return z, consumed
 
 
-def species_step(state, grid, params, dt, sources=None, t_start=None):
+def species_step(state, grid, spec, dt, sources=None):
     """Advance z by dt with v, theta frozen; preserves 0 <= z <= max(z).
 
     A NaN or inf in the state raises BlowUpError naming the field.
     """
     _check_finite(state)
     _check_quadrant(state.v, state.theta)
-    z_new, _ = _species_update(state, grid, params, dt, sources=sources, t_start=t_start)
+    z_new, _ = _species_update(state, grid, spec.params, dt, sources=sources)
     return State(state.t, state.v, state.theta, z_new, state.u)
 
 
-def _check_state_bounds(state, controls, forced):
+def _check_state_bounds(state, spec, forced):
     # written so that a NaN fails each test and rejects the step
-    if not state.v.min() > controls.floor_v:
+    if not state.v.min() > spec.floor_v:
         raise PositivityError("specific volume fell below floor")
-    if not state.theta.min() > controls.floor_theta:
+    if not state.theta.min() > spec.floor_theta:
         raise PositivityError("temperature fell below floor")
     if state.u[0] != 0.0 or state.u[-1] != 0.0:
         raise PositivityError("boundary nodes moved")
@@ -478,16 +480,18 @@ def _check_state_bounds(state, controls, forced):
             raise PositivityError("reactant fraction left [0, 1]")
 
 
-def strang_step(state, grid, params, dt, controls=None, sources=None):
+def strang_step(state, grid, spec, dt, sources=None):
     """One composed step with rejection control; returns a StepOutcome.
 
     On PositivityError, ConvergenceError or SingularMatrixError the attempt
     is discarded and retried from the original state at half the timestep,
-    up to max_step_rejections times, after which BlowUpError reports the
-    suspected loss of the a priori bounds.  A NaN or inf in the input state
-    raises BlowUpError before any attempt, naming the field.
+    up to MAX_STEP_REJECTIONS times and while the timestep stays at least
+    DT_MIN; after that BlowUpError reports the suspected loss of the a priori
+    bounds.  A NaN or inf in the input state raises BlowUpError before any
+    attempt, naming the field.  Each substep starts at the time of the state
+    it is given, so the second heat and species substeps start at t + dt/2.
     """
-    controls = controls or StepControls()
+    params = spec.params
     _check_finite(state)
     _check_quadrant(state.v, state.theta)
     dt_try = dt
@@ -496,15 +500,15 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
         try:
             t0 = state.t
             half = 0.5 * dt_try
-            z1, c1 = _species_update(state, grid, params, half, sources=sources, t_start=t0)
-            s1 = State(state.t, state.v, state.theta, z1, state.u)
-            s2, _ = heat_step(s1, grid, params, half, controls, sources=sources, t_start=t0)
-            s3 = hydro_step(s2, grid, params, dt_try, controls, sources=sources, t_start=t0)
-            s4, _ = heat_step(s3, grid, params, half, controls, sources=sources,
-                              t_start=t0 + half)
-            z5, c2 = _species_update(s4, grid, params, half, sources=sources, t_start=t0 + half)
+            z1, c1 = _species_update(state, grid, params, half, sources=sources)
+            s1 = State(t0, state.v, state.theta, z1, state.u)
+            s2, _ = heat_step(s1, grid, spec, half, sources=sources)
+            s3 = hydro_step(s2, grid, spec, dt_try, sources=sources)
+            s4, _ = heat_step(State(t0 + half, s3.v, s3.theta, s3.z, s3.u), grid, spec, half,
+                              sources=sources)
+            z5, c2 = _species_update(s4, grid, params, half, sources=sources)
             s5 = State(t0 + dt_try, s4.v, s4.theta, z5, s4.u)
-            _check_state_bounds(s5, controls, forced=sources is not None)
+            _check_state_bounds(s5, spec, forced=sources is not None)
             return StepOutcome(
                 new_state=s5,
                 dt_used=dt_try,
@@ -514,7 +518,7 @@ def strang_step(state, grid, params, dt, controls=None, sources=None):
         except (PositivityError, ConvergenceError, SingularMatrixError) as exc:
             rejected += 1
             dt_try *= 0.5
-            if rejected > controls.max_step_rejections or dt_try < controls.dt_min:
+            if rejected > MAX_STEP_REJECTIONS or dt_try < DT_MIN:
                 raise BlowUpError(
                     f"step at t = {state.t:.6g} failed after {rejected} rejections "
                     f"(last dt = {2 * dt_try:.3e}): {exc}"
@@ -539,7 +543,7 @@ class RunResult:
 def run_simulation(
     spec: ScenarioSpec,
     sample_cadence: float = 0.1,
-    controls: StepControls | None = None,
+    dt_max: float = math.inf,
     on_sample=None,
 ) -> RunResult:
     """Integrate the scenario from t = 0 to T_end, sampling diagnostics.
@@ -551,15 +555,16 @@ def run_simulation(
     first, appends ``make_record`` of the state and the previous sample to
     the records and then passes the state to ``on_sample``.  No state is
     changed after it is sampled, so a consumer may keep it without a copy.
+    ``dt_max`` caps every timestep; it must be at least DT_MIN.
     """
     from .functionals import make_record
 
     if not sample_cadence > 0:
         raise ConfigError("sample_cadence must be > 0")
+    if not dt_max >= DT_MIN:
+        raise ConfigError(f"dt_max must be >= DT_MIN = {DT_MIN:g}, got {dt_max!r}")
     grid = build_grid(spec.L, spec.N)
-    params = spec.params
     state = make_initial_data(spec, grid)
-    controls = controls or controls_for(spec)
 
     records = []
     record = prev_sample = None
@@ -569,7 +574,7 @@ def run_simulation(
     t_eps = 1e-12 * max(1.0, spec.T_end)
     while True:
         if state.t >= t_next - t_eps:
-            record = make_record(state, grid, params, record, prev_sample)
+            record = make_record(state, grid, spec.params, record, prev_sample)
             records.append(record)
             if on_sample is not None:
                 on_sample(state)
@@ -578,10 +583,10 @@ def run_simulation(
             t_next = min(k_sample * sample_cadence, spec.T_end)
         if state.t >= spec.T_end - t_eps:
             break
-        dt = select_timestep(state, grid, params, controls)
+        dt = select_timestep(state, grid, spec, dt_max)
         dt = min(dt, t_next - state.t)
         try:
-            outcome = strang_step(state, grid, params, dt, controls)
+            outcome = strang_step(state, grid, spec, dt)
         except BlowUpError as exc:
             raise BlowUpError(f"run aborted at t = {state.t:.6g}: {exc}") from exc
         state = outcome.new_state

@@ -21,7 +21,7 @@ from .constitutive import (
     _pressure,
     _reaction_rate,
 )
-from .domain import Grid, ScenarioSpec, State, StepControls, build_grid
+from .domain import Grid, ScenarioSpec, State, build_grid
 from .errors import ConfigError
 from .integrator import run_simulation, strang_step
 
@@ -202,15 +202,15 @@ def integrate_manufactured(
     N: int,
     T: float,
     dt: float,
-    controls: StepControls | None = None,
 ) -> State:
     """March the forced system from the manufactured initial state to time T.
 
     Uses a constant step (the last one trimmed to land exactly on T) so
-    refinement studies control the timestep directly.
+    refinement studies control the timestep directly.  The cfl, Picard and
+    floor settings are ScenarioSpec's defaults.
     """
+    spec = ScenarioSpec(params=params, L=L, N=N, T_end=T)
     grid = build_grid(L, N)
-    controls = controls or StepControls()
     sources = ManufacturedSources(ms, params, grid)
     state = ms.state(grid, 0.0)
     n_steps = max(1, math.ceil(T / dt - 1e-12))
@@ -218,7 +218,7 @@ def integrate_manufactured(
         step = min(dt, T - state.t)
         if step <= 0:
             break
-        state = strang_step(state, grid, params, step, controls, sources=sources).new_state
+        state = strang_step(state, grid, spec, step, sources=sources).new_state
     return state
 
 

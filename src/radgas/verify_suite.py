@@ -23,7 +23,7 @@ from .constitutive import (
     internal_energy,
     pressure,
 )
-from .domain import State, build_grid, controls_for, make_initial_data
+from .domain import State, build_grid, make_initial_data
 from .errors import InsufficientHistory, WindowOutOfDomain
 from .functionals import (
     WindowHistory,
@@ -93,11 +93,10 @@ def _check_equilibrium_fixed_point(spec, steps):
     spec = replace(spec, family="equilibrium", amplitude_v=0.0,
                    amplitude_u=0.0, amplitude_theta=0.0, amplitude_z=0.0)
     grid = build_grid(spec.L, spec.N)
-    controls = controls_for(spec)
     state = make_initial_data(spec, grid)
     for _ in range(steps):
-        dt = select_timestep(state, grid, spec.params, controls)
-        state = strang_step(state, grid, spec.params, dt, controls).new_state
+        dt = select_timestep(state, grid, spec)
+        state = strang_step(state, grid, spec, dt).new_state
     drift = max(
         float(np.max(np.abs(state.v - 1.0))),
         float(np.max(np.abs(state.theta - 1.0))),
@@ -123,7 +122,7 @@ def _check_tridiagonal(rng):
     return worst < 1e-10, f"max deviation from dense solve {worst:.2e} (tol 1e-10)"
 
 
-def _check_species_max_principle(params, rng):
+def _check_species_max_principle(spec, rng):
     grid = build_grid(10.0, 64)
     violations = 0.0
     for _ in range(25):
@@ -135,7 +134,7 @@ def _check_species_max_principle(params, rng):
             u=np.zeros(grid.N + 1),
         )
         zmax = float(np.max(state.z))
-        new = species_step(state, grid, params, dt=rng.uniform(0.001, 0.5))
+        new = species_step(state, grid, spec, dt=rng.uniform(0.001, 0.5))
         violations = max(violations, -float(np.min(new.z)), float(np.max(new.z)) - zmax)
     return violations <= 1e-13, f"worst confinement excursion {violations:.2e} (tol 1e-13)"
 
@@ -176,8 +175,7 @@ def _check_energy_drift_convergence(spec, caps):
     """Total-energy drift over the run at the three global timestep caps."""
     drifts = []
     for cap in caps:
-        controls = controls_for(spec, dt_max=cap)
-        res = run_simulation(spec, sample_cadence=spec.T_end, controls=controls)
+        res = run_simulation(spec, sample_cadence=spec.T_end, dt_max=cap)
         E = res.column("total_energy")
         drifts.append(abs(E[-1] - E[0]))
     r1 = drifts[0] / max(drifts[1], 1e-300)
@@ -312,7 +310,7 @@ def _seeded_rows(spec):
         ("entropy density nonnegative", *_check_entropy_nonneg(params, rng)),
         ("equilibrium is a fixed point", *_check_equilibrium_fixed_point(spec, 200)),
         ("tridiagonal solver vs dense elimination", *_check_tridiagonal(rng)),
-        ("species update maximum principle", *_check_species_max_principle(params, rng)),
+        ("species update maximum principle", *_check_species_max_principle(spec, rng)),
     ]
 
 

@@ -288,7 +288,7 @@ def _refused_at_load(tmp_path, edits, reason):
 
 
 def test_huge_reaction_rate_is_refused_at_load(tmp_path):
-    """K_react = 1e200 would need about 1e187 species subcycles even at dt_min."""
+    """K_react = 1e200 would need about 1e187 species subcycles even at DT_MIN."""
     _refused_at_load(tmp_path, (("N = 512", "N = 32"), ("T_end = 20.0", "T_end = 0.2"),
                                 ("K_react = 1.0", "K_react = 1e200")), "subcycles")
 
@@ -352,6 +352,10 @@ INVALID_SCENARIOS = {
     "far field": {"width = 1.0": "width = 5.0"},
     "empty probe window": {"L = 10.0": "L = 20.0", "N = 64": "N = 8", "probes = 0, 2": "probes = 0"},
     "floor above the initial temperature": {"cfl = 0.5": "cfl = 0.5\nfloor_theta = 2"},
+    "cfl above 1": {"cfl = 0.5": "cfl = 1.5"},
+    "zero floor": {"cfl = 0.5": "cfl = 0.5\nfloor_v = 0"},
+    "no Picard sweep": {"cfl = 0.5": "cfl = 0.5\npicard_max_iters = 0"},
+    "huge Picard cap": {"cfl = 0.5": "cfl = 0.5\npicard_max_iters = 1000000000"},
 }
 # Valid as configured, but not in the L = 10 box where verify runs some checks.
 INVALID_IN_VERIFY_BOX = {"far field in the L = 10 box": {"L = 10.0": "L = 20.0",

@@ -10,14 +10,13 @@ from radgas.cli import load_run_config
 from radgas.constitutive import GasParameters
 from radgas.domain import (
     ScenarioSpec,
-    StepControls,
     build_grid,
     make_initial_data,
     validate_initial_data,
     validate_parameters,
 )
 from radgas.errors import ConfigError
-from radgas.integrator import MAX_SUBCYCLES
+from radgas.integrator import DT_MIN, MAX_SUBCYCLES
 
 
 def test_build_grid_small():
@@ -186,9 +185,9 @@ def test_scenario_spec_validation():
 
 
 def test_scenario_refuses_a_reaction_rate_no_timestep_can_run():
-    """At rest the species update over dt_min / 2 needs about 0.25 * dt_min * K_react / e
+    """At rest the species update over DT_MIN / 2 needs about 0.25 * DT_MIN * K_react / e
     subcycles; past MAX_SUBCYCLES every attempt of the first step would be rejected."""
-    cap = MAX_SUBCYCLES * math.e / (0.25 * StepControls().dt_min)
+    cap = MAX_SUBCYCLES * math.e / (0.25 * DT_MIN)
     ScenarioSpec(family="equilibrium", N=64, params=GasParameters(K_react=0.5 * cap))
     with pytest.raises(ConfigError, match="subcycles"):
         ScenarioSpec(family="equilibrium", N=64, params=GasParameters(K_react=2.0 * cap))

@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from radgas.constitutive import GasParameters, internal_energy, reaction_rate
-from radgas.domain import (
-    ScenarioSpec,
-    State,
-    StepControls,
-    build_grid,
-    controls_for,
-    make_initial_data,
-)
+from radgas.domain import ScenarioSpec, State, build_grid, make_initial_data
 import radgas.integrator as integrator
 from radgas.errors import (
     BlowUpError,
@@ -25,6 +18,8 @@ from radgas.errors import (
 )
 from radgas.functionals import make_record
 from radgas.integrator import (
+    DT_MIN,
+    MAX_STEP_REJECTIONS,
     _check_state_bounds,
     heat_step,
     hydro_step,
@@ -35,6 +30,8 @@ from radgas.integrator import (
 )
 
 PARAMS = GasParameters()
+# The default solver settings; the steps read only these and the grid they are given
+SPEC = ScenarioSpec(params=PARAMS, L=10.0, N=64)
 
 
 def equilibrium_state(grid):
@@ -55,8 +52,7 @@ def test_select_timestep_equilibrium_formula():
     """Matches an independent hand evaluation of the acoustic CFL formula."""
     grid = build_grid(10.0, 128)
     state = equilibrium_state(grid)
-    controls = StepControls(cfl=0.5)
-    dt = select_timestep(state, grid, PARAMS, controls)
+    dt = select_timestep(state, grid, SPEC)
     # at (v, theta) = (1, 1): -p_v = 1, p_theta = 7/3, e_theta = 5
     c = math.sqrt(1.0 + (7.0 / 3.0) ** 2 / 5.0)
     assert dt == pytest.approx(0.5 * grid.dx / c, rel=1e-12)
@@ -66,23 +62,19 @@ def test_select_timestep_decreases_with_velocity():
     grid = build_grid(10.0, 128)
     slow = gaussian_state(grid, au=0.1)
     fast = gaussian_state(grid, au=0.2)
-    controls = StepControls(cfl=0.5)
-    assert select_timestep(fast, grid, PARAMS, controls) < select_timestep(
-        slow, grid, PARAMS, controls
-    )
+    assert select_timestep(fast, grid, SPEC) < select_timestep(slow, grid, SPEC)
 
 
 def test_select_timestep_clamps_to_dt_max():
     grid = build_grid(10.0, 128)
-    controls = StepControls(cfl=0.5, dt_max=1e-4)
-    dt = select_timestep(equilibrium_state(grid), grid, PARAMS, controls)
+    dt = select_timestep(equilibrium_state(grid), grid, SPEC, dt_max=1e-4)
     assert dt == 1e-4
 
 
 def test_hydro_equilibrium_fixed_point():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
-    out = hydro_step(state, grid, PARAMS, 0.05)
+    out = hydro_step(state, grid, SPEC, 0.05)
     assert np.array_equal(out.v, state.v)
     assert np.array_equal(out.u, state.u)
 
@@ -90,7 +82,7 @@ def test_hydro_equilibrium_fixed_point():
 def test_hydro_uniform_state_fixed_point():
     grid = build_grid(10.0, 64)
     state = State(0.0, np.full(64, 2.0), np.ones(64), np.zeros(64), np.zeros(65))
-    out = hydro_step(state, grid, PARAMS, 0.05)
+    out = hydro_step(state, grid, SPEC, 0.05)
     assert np.max(np.abs(out.v - 2.0)) == 0.0
     assert np.max(np.abs(out.u)) == 0.0
 
@@ -101,7 +93,7 @@ def test_hydro_conserves_mass_and_momentum_for_far_field_states():
     state = gaussian_state(grid)
     dt = 0.02
     before = make_record(state, grid, PARAMS)
-    after = make_record(hydro_step(state, grid, PARAMS, dt), grid, PARAMS)
+    after = make_record(hydro_step(state, grid, SPEC, dt), grid, PARAMS)
     mass0, mom0 = before.mass_dev, before.momentum
     assert abs(after.mass_dev - mass0) <= 1e-14 * max(1.0, abs(mass0))
     assert abs(after.momentum - mom0) <= 1e-13 * max(1.0, abs(mom0))
@@ -110,15 +102,14 @@ def test_hydro_conserves_mass_and_momentum_for_far_field_states():
 def test_hydro_positivity_error_on_tight_floor():
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid, av=-0.3)
-    controls = StepControls(floor_v=0.9)
     with pytest.raises(PositivityError):
-        hydro_step(state, grid, PARAMS, 0.05, controls)
+        hydro_step(state, grid, replace(SPEC, floor_v=0.9), 0.05)
 
 
 def test_heat_equilibrium_unchanged_one_sweep():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
-    out, iters = heat_step(state, grid, PARAMS, 0.05)
+    out, iters = heat_step(state, grid, SPEC, 0.05)
     assert iters == 1
     assert np.max(np.abs(out.theta - 1.0)) < 1e-14
 
@@ -126,7 +117,7 @@ def test_heat_equilibrium_unchanged_one_sweep():
 def test_heat_uniform_temperature_unchanged():
     grid = build_grid(10.0, 64)
     state = State(0.0, np.ones(64), np.full(64, 2.0), np.zeros(64), np.zeros(65))
-    out, _ = heat_step(state, grid, PARAMS, 0.05)
+    out, _ = heat_step(state, grid, SPEC, 0.05)
     assert np.max(np.abs(out.theta - 2.0)) < 1e-13
 
 
@@ -137,7 +128,7 @@ def test_heat_pure_conduction_conserves_energy():
     state = State(0.0, np.ones(128), 1.0 + 0.05 * np.exp(-(xc**2)), np.zeros(128),
                   np.zeros(129))
     e_before = np.sum(internal_energy(PARAMS, state.v, state.theta)) * grid.dx
-    out, _ = heat_step(state, grid, PARAMS, 0.01)
+    out, _ = heat_step(state, grid, SPEC, 0.01)
     e_after = np.sum(internal_energy(PARAMS, out.v, out.theta)) * grid.dx
     assert abs(e_after - e_before) <= 1e-10 * abs(e_before)
 
@@ -145,15 +136,15 @@ def test_heat_pure_conduction_conserves_energy():
 def test_heat_convergence_error_when_capped():
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid, ath=0.5)
-    controls = StepControls(picard_tol=1e-12, picard_max_iters=1)
+    capped = replace(SPEC, picard_tol=1e-12, picard_max_iters=1)
     with pytest.raises(ConvergenceError):
-        heat_step(state, grid, PARAMS, 0.1, controls)
+        heat_step(state, grid, capped, 0.1)
 
 
 def test_species_zero_stays_zero():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
-    out = species_step(state, grid, PARAMS, 0.1)
+    out = species_step(state, grid, SPEC, 0.1)
     assert np.array_equal(out.z, np.zeros(64))
 
 
@@ -169,7 +160,7 @@ def test_species_uniform_decay_closed_form():
     n_sub = max(1, math.ceil(0.5 * dt * lam_max))
     delta = dt / n_sub
     expected = ((1.0 - 0.5 * delta * phi) / (1.0 + 0.5 * delta * phi)) ** n_sub
-    out = species_step(state, grid, PARAMS, dt)
+    out = species_step(state, grid, SPEC, dt)
     assert np.max(np.abs(out.z - expected)) < 1e-13
     assert expected < 1.0
     # trapezoidal subcycling tracks the exact exponential at second order
@@ -190,7 +181,7 @@ def test_species_maximum_principle_on_randomized_states():
             u=np.zeros(grid.N + 1),
         )
         zmax = float(np.max(state.z))
-        out = species_step(state, grid, PARAMS, dt=float(rng.uniform(0.001, 0.5)))
+        out = species_step(state, grid, SPEC, dt=float(rng.uniform(0.001, 0.5)))
         assert np.min(out.z) >= -1e-13
         assert np.max(out.z) <= zmax + 1e-13
 
@@ -198,9 +189,8 @@ def test_species_maximum_principle_on_randomized_states():
 def test_strang_equilibrium_fixed_point():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
-    controls = StepControls()
     for _ in range(100):
-        state = strang_step(state, grid, PARAMS, 0.02, controls).new_state
+        state = strang_step(state, grid, SPEC, 0.02).new_state
     drift = max(np.max(np.abs(state.v - 1)), np.max(np.abs(state.theta - 1)),
                 np.max(np.abs(state.z)), np.max(np.abs(state.u)))
     assert drift <= 1e-12
@@ -214,10 +204,9 @@ def test_strang_step_second_order():
     finals = []
     for dt in (0.01, 0.005, 0.0025):
         state = make_initial_data(spec, grid)
-        controls = controls_for(spec)
         n = round(spec.T_end / dt)
         for _ in range(n):
-            state = strang_step(state, grid, PARAMS, dt, controls).new_state
+            state = strang_step(state, grid, spec, dt).new_state
         finals.append(state)
     for f in ("v", "u", "theta", "z"):
         d1 = np.linalg.norm(getattr(finals[0], f) - getattr(finals[1], f))
@@ -237,19 +226,18 @@ def test_strang_rejects_then_succeeds_at_reduced_dt():
     dt = 0.1
     u_x = np.diff(u) / grid.dx
     dip = 0.5 * dt * np.max(np.maximum(-u_x, 0.0))
-    controls = StepControls(floor_v=1.0 - 0.75 * dip, max_step_rejections=8)
-    out = strang_step(state, grid, PARAMS, dt, controls)
+    spec = replace(SPEC, floor_v=1.0 - 0.75 * dip)
+    out = strang_step(state, grid, spec, dt)
     assert out.rejected_count >= 1
     assert out.dt_used < dt
-    assert np.min(out.new_state.v) > controls.floor_v
+    assert np.min(out.new_state.v) > spec.floor_v
 
 
 def test_strang_blowup_after_repeated_rejection():
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid, av=-0.3)
-    controls = StepControls(floor_v=0.9, max_step_rejections=4)
     with pytest.raises(BlowUpError):
-        strang_step(state, grid, PARAMS, 0.05, controls)
+        strang_step(state, grid, replace(SPEC, floor_v=0.9), 0.05)
 
 
 def test_singular_solve_rejects_the_step(monkeypatch):
@@ -268,7 +256,7 @@ def test_singular_solve_rejects_the_step(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(integrator, name, fails_once)
-            out = strang_step(state, grid, PARAMS, 0.01)
+            out = strang_step(state, grid, SPEC, 0.01)
         assert not failures, name
         assert out.rejected_count == 1, name
         assert out.dt_used == 0.005, name
@@ -280,9 +268,9 @@ def test_singular_solve_every_time_blows_up(monkeypatch):
 
     monkeypatch.setattr(integrator, "tridiagonal_solve", singular)
     grid = build_grid(10.0, 64)
-    controls = StepControls(max_step_rejections=4)
-    with pytest.raises(BlowUpError, match="after 5 rejections .*zero pivot at row 3"):
-        strang_step(gaussian_state(grid), grid, PARAMS, 0.01, controls)
+    with pytest.raises(BlowUpError, match=f"after {MAX_STEP_REJECTIONS + 1} rejections "
+                                          ".*zero pivot at row 3"):
+        strang_step(gaussian_state(grid), grid, SPEC, 0.01)
 
 
 @pytest.mark.filterwarnings("error")
@@ -292,18 +280,17 @@ def test_non_finite_state_raises_blowup_naming_the_field(field):
     spec = ScenarioSpec(amplitude_v=0.1, amplitude_u=0.1, amplitude_theta=0.2,
                         amplitude_z=0.5, N=64)
     grid = build_grid(spec.L, spec.N)
-    controls = controls_for(spec)
     for bad in (np.nan, np.inf):
         state = make_initial_data(spec, grid)
         getattr(state, field)[10] = bad
         with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
-            strang_step(state, grid, spec.params, 0.01, controls)
+            strang_step(state, grid, spec, 0.01)
         for substep in (species_step, heat_step, hydro_step):
             with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
-                substep(state, grid, spec.params, 0.01)
+                substep(state, grid, spec, 0.01)
         if field != "z":
             with pytest.raises(BlowUpError, match=rf"^non-finite {field} in the state"):
-                select_timestep(state, grid, spec.params, controls)
+                select_timestep(state, grid, spec)
 
 
 @pytest.mark.parametrize("field", ["v", "theta", "z"])
@@ -312,7 +299,7 @@ def test_nan_result_rejects_the_step(field):
     state = gaussian_state(grid)
     getattr(state, field)[10] = np.nan
     with pytest.raises(PositivityError):
-        _check_state_bounds(state, StepControls(), forced=False)
+        _check_state_bounds(state, SPEC, forced=False)
 
 
 @pytest.mark.parametrize("field, value", [("v", 0.0), ("v", -1.0), ("theta", 0.0),
@@ -321,12 +308,11 @@ def test_steps_reject_states_outside_the_quadrant(field, value):
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid)
     getattr(state, field)[10] = value
-    controls = StepControls()
     for step in (hydro_step, heat_step, species_step, strang_step):
         with pytest.raises(ValueError, match="must be strictly positive"):
-            step(state, grid, PARAMS, 0.01)
+            step(state, grid, SPEC, 0.01)
     with pytest.raises(ValueError, match="must be strictly positive"):
-        select_timestep(state, grid, PARAMS, controls)
+        select_timestep(state, grid, SPEC)
 
 
 def test_run_simulation_equilibrium_returns_initial():
@@ -394,10 +380,10 @@ def test_run_simulation_rejects_bad_cadence(small_gaussian_spec):
             run_simulation(small_gaussian_spec, sample_cadence=cadence)
 
 
-def test_step_controls_validation():
-    with pytest.raises(ConfigError):
-        StepControls(cfl=1.5)
-    with pytest.raises(ConfigError):
-        StepControls(dt_min=1.0, dt_max=0.1)
-    with pytest.raises(ConfigError):
-        StepControls(floor_v=0.0)
+def test_step_controls_validation(small_gaussian_spec):
+    with pytest.raises(ConfigError, match="cfl"):
+        ScenarioSpec(cfl=1.5)
+    with pytest.raises(ConfigError, match="dt_max"):
+        run_simulation(small_gaussian_spec, dt_max=0.1 * DT_MIN)
+    with pytest.raises(ConfigError, match="floors"):
+        ScenarioSpec(floor_v=0.0)

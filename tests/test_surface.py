@@ -27,6 +27,21 @@ def test_module_all_names_are_defined_there(name):
     assert not elsewhere, f"radgas.{name}.__all__ names what other modules define: {elsewhere}"
 
 
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(radgas.__path__)])
+def test_modules_use_every_import(name):
+    """A name a module imports, at any level, is read somewhere in it or listed in
+    its __all__; the package __init__, which only re-exports, is not checked."""
+    path = Path(radgas.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(importlib.import_module(f"radgas.{name}"), "__all__", ()))
+    unused = sorted(imported - used)
+    assert not unused, f"radgas.{name} imports names it never uses: {unused}"
+
+
 def test_package_imports_resolve_and_are_public():
     tree = ast.parse(Path(radgas.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]

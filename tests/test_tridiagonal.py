@@ -150,7 +150,7 @@ def test_stepping_does_not_import_scipy():
         "from radgas.integrator import strang_step\n"
         "spec = ScenarioSpec(L=10.0, N=64, T_end=0.1)\n"
         "grid = build_grid(spec.L, spec.N)\n"
-        "strang_step(make_initial_data(spec, grid), grid, spec.params, 0.01)\n"
+        "strang_step(make_initial_data(spec, grid), grid, spec, 0.01)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(radgas.__file__))
