@@ -13,10 +13,14 @@ trapezoidal solve subcycled just enough that the update matrix keeps the
 discrete maximum principle, so 0 <= z <= max(z) holds for arbitrary data.
 
 Positivity failures and non-convergence reject the step and retry at dt/2;
-repeated rejection raises BlowUpError.  A non-finite state raises
-BlowUpError at once.  Each public substep, ``strang_step`` and
-``select_timestep`` check the open quadrant v > 0, theta > 0 once on entry
-(ValueError) and then evaluate the unguarded constitutive kernels.
+repeated rejection raises BlowUpError.  Once per call, on entry, each public
+substep and ``strang_step`` check their input state in one pass: a NaN or
+inf raises BlowUpError naming the field, and a state outside the open
+quadrant v > 0, theta > 0 raises ValueError.  ``select_timestep`` checks
+the quadrant the same way.  All of them then evaluate the unguarded
+constitutive kernels.  Every tridiagonal solve goes through
+``tridiagonal_solve``, which makes the read-only LAPACK arguments of an
+order n once and reuses them.
 """
 
 import ctypes
@@ -159,7 +163,22 @@ _DPTSV = _bind_lapack("dptsv", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
 _DPTTRF = _bind_lapack("dpttrf", _INT, _PTR, _PTR, _INT)
 # (n, nrhs, d, e, b, ldb, info)
 _DPTTRS = _bind_lapack("dpttrs", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
-_ONE = ctypes.c_int64(1)
+_ONE = ctypes.byref(ctypes.c_int64(1))
+_FLOAT64 = np.dtype(np.float64)
+# byref(c_int64(n)) per order n, made on first use.  LAPACK only reads it, so
+# calls and threads share it; the info argument, which LAPACK writes, is per call.
+# A run meets two orders per grid; the store is emptied when it fills, so it stays small.
+_ORDER_REFS = {}
+_MAX_ORDER_REFS = 64
+
+
+def _order_ref(n):
+    ref = _ORDER_REFS.get(n)
+    if ref is None:
+        if len(_ORDER_REFS) >= _MAX_ORDER_REFS:
+            _ORDER_REFS.clear()
+        ref = _ORDER_REFS[n] = ctypes.byref(ctypes.c_int64(n))
+    return ref
 
 
 def _address(buf):
@@ -183,7 +202,7 @@ def _factor_symmetric(off, diag):
     packed = np.concatenate((diag, off), dtype=np.float64)
     base = _address(packed)
     info = ctypes.c_int64(0)
-    _DPTTRF(ctypes.byref(ctypes.c_int64(n)), base, base + 8 * n, ctypes.byref(info))
+    _DPTTRF(_order_ref(n), base, base + 8 * n, ctypes.byref(info))
     if info.value > 0:
         raise _not_positive_definite(info.value - 1)
     return packed
@@ -202,25 +221,31 @@ def tridiagonal_solve(off, diag, rhs, *, factors=None):
     definite raises SingularMatrixError on every route.
 
     The caller's arrays are never written, and the solution owns its memory.
+    Lengths are checked by plain shape compares when all three inputs are
+    1-D float64 ndarrays, as the integrator's are, and by ``_order`` else.
     """
-    n = _order(off, diag, rhs)
-    n_c = ctypes.c_int64(n)
+    if (type(off) is type(diag) is type(rhs) is np.ndarray
+            and off.dtype is diag.dtype is rhs.dtype is _FLOAT64
+            and diag.ndim == 1 and rhs.shape == diag.shape
+            and off.shape == (diag.shape[0] - 1,)):
+        n = diag.shape[0]
+    else:
+        n = _order(off, diag, rhs)
+    n_ref = _order_ref(n)
     info = ctypes.c_int64(0)
     if factors is not None:
         if factors.shape != (2 * n - 1,) or factors.dtype != np.float64:
             raise ConfigError("tridiagonal factors do not match the system")
         fac = _address(factors)
         x = np.array(rhs, dtype=np.float64)
-        _DPTTRS(ctypes.byref(n_c), ctypes.byref(_ONE), fac, fac + 8 * n, _address(x),
-                ctypes.byref(n_c), ctypes.byref(info))
+        _DPTTRS(n_ref, _ONE, fac, fac + 8 * n, _address(x), n_ref, ctypes.byref(info))
         return x
     if _DPTSV is None:
         return _thomas_solve(off, diag, rhs)
     # dptsv overwrites its inputs, so they are copied into one buffer [d | e | b]
     buf = np.concatenate((diag, off, rhs), dtype=np.float64)
     base = _address(buf)
-    _DPTSV(ctypes.byref(n_c), ctypes.byref(_ONE), base, base + 8 * n,
-           base + 8 * (2 * n - 1), ctypes.byref(n_c), ctypes.byref(info))
+    _DPTSV(n_ref, _ONE, base, base + 8 * n, base + 8 * (2 * n - 1), n_ref, ctypes.byref(info))
     if info.value > 0:
         raise _not_positive_definite(info.value - 1)
     # a compact copy, so the caller does not keep the whole buffer alive
@@ -234,6 +259,30 @@ def _check_finite(state, names=("v", "theta", "z", "u")):
             raise BlowUpError(f"non-finite {name} in the state at t = {state.t:.6g}")
 
 
+def _in_quadrant(v, theta):
+    """Whether v > 0 and theta > 0 everywhere; False on a NaN."""
+    return v.min() > 0.0 and theta.min() > 0.0
+
+
+def _check_state(state):
+    """The entry guard of a step: ``_check_finite``, then ``_check_quadrant``.
+
+    A sum of squares is finite only if every entry is, so the usual state
+    passes on four dot products and two minima.  ``np.vdot`` raises no
+    floating-point warning on overflow and keeps the GIL, where ``np.dot``
+    does neither in numpy 2.4.  Any other state, a finite one whose squares
+    overflow included, goes through the full pair, which raises the exact
+    error.
+    """
+    v, theta, z, u = state.v, state.theta, state.z, state.u
+    squares = (float(np.vdot(v, v)) + float(np.vdot(theta, theta))
+               + float(np.vdot(z, z)) + float(np.vdot(u, u)))
+    if math.isfinite(squares) and _in_quadrant(v, theta):
+        return
+    _check_finite(state)
+    _check_quadrant(v, theta)
+
+
 def select_timestep(state: State, grid: Grid, spec: ScenarioSpec, dt_max: float = math.inf) -> float:
     """Acoustic CFL timestep at the scenario's cfl, clamped to [DT_MIN, dt_max].
 
@@ -245,7 +294,8 @@ def select_timestep(state: State, grid: Grid, spec: ScenarioSpec, dt_max: float 
     """
     params = spec.params
     v, theta = state.v, state.theta
-    _check_quadrant(v, theta)
+    if not _in_quadrant(v, theta):
+        _check_quadrant(v, theta)
     # a non-finite input is reported below as BlowUpError, not as a numpy warning
     with np.errstate(invalid="ignore", over="ignore"):
         theta_cu = theta**3
@@ -281,8 +331,7 @@ def hydro_step(state, grid, spec, dt, sources=None):
     h = dt
     u = state.u
     th = state.theta
-    _check_finite(state)
-    _check_quadrant(state.v, th)
+    _check_state(state)
 
     sv1 = sources.Sv(t0 + 0.25 * h) if sources else 0.0
     v_half = state.v + 0.5 * h * ((u[1:] - u[:-1]) / dx + sv1)
@@ -350,8 +399,7 @@ def heat_step(state, grid, spec, dt, sources=None):
     h = dt
     v = state.v
     th_old = state.theta
-    _check_finite(state)
-    _check_quadrant(v, th_old)
+    _check_state(state)
     z = state.z
     u_x = (state.u[1:] - state.u[:-1]) / dx
     viscous_heating = params.mu * u_x**2 / v
@@ -461,8 +509,7 @@ def species_step(state, grid, spec, dt, sources=None):
 
     A NaN or inf in the state raises BlowUpError naming the field.
     """
-    _check_finite(state)
-    _check_quadrant(state.v, state.theta)
+    _check_state(state)
     z_new, _ = _species_update(state, grid, spec.params, dt, sources=sources)
     return State(state.t, state.v, state.theta, z_new, state.u)
 
@@ -492,8 +539,7 @@ def strang_step(state, grid, spec, dt, sources=None):
     it is given, so the second heat and species substeps start at t + dt/2.
     """
     params = spec.params
-    _check_finite(state)
-    _check_quadrant(state.v, state.theta)
+    _check_state(state)
     dt_try = dt
     rejected = 0
     while True:

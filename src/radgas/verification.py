@@ -3,7 +3,9 @@
 Manufactured fields are Gaussian-envelope profiles times decaying
 exponentials, chosen to vanish near the domain ends to machine precision so
 the closed-end boundary treatment is exact and the studies measure interior
-discretization error only.
+discretization error only.  The x-only factors of the fields are computed
+once per grid (``_Profile``); each source call scales them by the decay
+factors of its time and evaluates only the residuals it returns.
 """
 
 import math
@@ -83,44 +85,69 @@ class ManufacturedSolution:
         )
 
 
-def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
-    """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x), and the e_v they used.
+class _Profile:
+    """The x-only factors of the manufactured fields on one set of points.
 
-    Adding the residuals to the respective right-hand sides makes the
-    manufactured fields an exact solution.  S_e is the residual of the energy
-    equation; the split integrator's temperature substep consumes the
-    temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
+    Every field is one of these arrays times tau = exp(-rate*t), or tau_z =
+    exp(-rate_z*t) for z, plus 1 for v and theta.  Each product keeps its
+    left-to-right operand order, so a field scaled from it holds the same
+    bits as the whole product evaluated at t.
     """
-    x = np.asarray(x, dtype=float)
-    w2 = ms.width * ms.width
-    g = _gaussian(x, ms.width)
-    g_x = -2.0 * x / w2 * g
-    g_xx = (-2.0 / w2 + 4.0 * x * x / (w2 * w2)) * g
-    tau = math.exp(-ms.rate * t)
-    tau_z = math.exp(-ms.rate_z * t)
-    v = 1.0 + ms.amp_v * g * tau
-    v_t = -ms.rate * ms.amp_v * g * tau
-    v_x = ms.amp_v * g_x * tau
-    u_t = -ms.rate * ms.amp_u * x * g * tau
-    u_x = ms.amp_u * (g + x * g_x) * tau
-    u_xx = ms.amp_u * (2.0 * g_x + x * g_xx) * tau
-    th = 1.0 + ms.amp_theta * g * tau
-    th_t = -ms.rate * ms.amp_theta * g * tau
-    th_x = ms.amp_theta * g_x * tau
-    th_xx = ms.amp_theta * g_xx * tau
-    z = ms.amp_z * g * tau_z
-    z_t = -ms.rate_z * ms.amp_z * g * tau_z
-    z_x = ms.amp_z * g_x * tau_z
-    z_xx = ms.amp_z * g_xx * tau_z
 
+    def __init__(self, ms: ManufacturedSolution, x):
+        x = np.asarray(x, dtype=float)
+        w2 = ms.width * ms.width
+        g = _gaussian(x, ms.width)
+        g_x = -2.0 * x / w2 * g
+        g_xx = (-2.0 / w2 + 4.0 * x * x / (w2 * w2)) * g
+        self.v = ms.amp_v * g
+        self.v_t = -ms.rate * ms.amp_v * g
+        self.v_x = ms.amp_v * g_x
+        self.u_t = -ms.rate * ms.amp_u * x * g
+        self.u_x = ms.amp_u * (g + x * g_x)
+        self.u_xx = ms.amp_u * (2.0 * g_x + x * g_xx)
+        self.th = ms.amp_theta * g
+        self.th_t = -ms.rate * ms.amp_theta * g
+        self.th_x = ms.amp_theta * g_x
+        self.th_xx = ms.amp_theta * g_xx
+        self.z = ms.amp_z * g
+        self.z_t = -ms.rate_z * ms.amp_z * g
+        self.z_x = ms.amp_z * g_x
+        self.z_xx = ms.amp_z * g_xx
+
+
+def _shared_fields(f: _Profile, tau):
+    """(v, v_x, u_x, theta, theta_x, theta**3) at tau: what every residual reads."""
+    v = 1.0 + f.v * tau
+    th = 1.0 + f.th * tau
     _check_quadrant(v, th)  # once; the kernels below skip it
-    th_cu = th**3
+    return v, f.v_x * tau, f.u_x * tau, th, f.th_x * tau, th**3
+
+
+def _momentum_residual(params: GasParameters, f: _Profile, tau):
+    """S_u, the residual of the momentum equation, at tau = exp(-rate*t)."""
+    v, v_x, u_x, th, th_x, th_cu = _shared_fields(f, tau)
+    u_t = f.u_t * tau
+    u_xx = f.u_xx * tau
     p_v = _p_v(params, v, th)
     p_theta = _p_theta(params, v, th_cu)
+    return u_t + p_v * v_x + p_theta * th_x - params.mu * (u_xx / v - u_x * v_x / v**2)
+
+
+def _cell_residuals(params: GasParameters, f: _Profile, tau, tau_z):
+    """(S_v, S_e, S_z, e_v): the volume, energy and species residuals and the e_v they used."""
+    v, v_x, u_x, th, th_x, th_cu = _shared_fields(f, tau)
+    v_t = f.v_t * tau
+    th_t = f.th_t * tau
+    th_xx = f.th_xx * tau
+    z = f.z * tau_z
+    z_t = f.z_t * tau_z
+    z_x = f.z_x * tau_z
+    z_xx = f.z_xx * tau_z
+
     e_v = params.a * th**4
     e_theta = _e_theta(params, v, th_cu)
     S_v = v_t - u_x
-    S_u = u_t + p_v * v_x + p_theta * th_x - params.mu * (u_xx / v - u_x * v_x / v**2)
     kappa = _conductivity(params, v, th)
     kappa_v = params.kappa2 * th**params.b
     kappa_th = params.kappa2 * params.b * v * th ** (params.b - 1.0)
@@ -140,7 +167,21 @@ def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
         - params.lam * phi * z
     )
     S_z = z_t - params.d * (z_xx / v**2 - 2.0 * z_x * v_x / v**3) + phi * z
-    return S_v, S_u, S_e, S_z, e_v
+    return S_v, S_e, S_z, e_v
+
+
+def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
+    """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x), and the e_v they used.
+
+    Adding the residuals to the respective right-hand sides makes the
+    manufactured fields an exact solution.  S_e is the residual of the energy
+    equation; the split integrator's temperature substep consumes the
+    temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
+    """
+    f = _Profile(ms, x)
+    tau = math.exp(-ms.rate * t)
+    S_v, S_e, S_z, e_v = _cell_residuals(params, f, tau, math.exp(-ms.rate_z * t))
+    return S_v, _momentum_residual(params, f, tau), S_e, S_z, e_v
 
 
 # Times whose cell residuals a ManufacturedSources keeps.  A repeat comes a
@@ -154,26 +195,31 @@ _STORE_SIZE = 8
 class ManufacturedSources:
     """The residuals the split integrator adds, asked by time on one grid.
 
-    ``Sv(t)``, ``Stheta(t)`` and ``Sz(t)`` are evaluated together on the cell
-    centres and kept for the last few times, keyed by t, read-only since
-    calls share them; ``Su(t)`` is the momentum residual on the interior
-    nodes.  The temperature substep evolves theta at frozen v, so it needs
-    the temperature-form residual S_e - e_v*S_v; the two coincide whenever
-    the manufactured volume satisfies its own equation exactly.
+    The x-only factors of the fields are built once, for the cell centres
+    and for the interior nodes, so each call only scales them by the decay
+    factors and evaluates the laws.  ``Sv(t)``, ``Stheta(t)`` and ``Sz(t)``
+    are evaluated together on the cell centres and kept for the last few
+    times, keyed by t, read-only since calls share them; ``Su(t)`` evaluates
+    only the momentum residual, on the interior nodes.  The temperature
+    substep evolves theta at frozen v, so it needs the temperature-form
+    residual S_e - e_v*S_v; the two coincide whenever the manufactured
+    volume satisfies its own equation exactly.
     """
 
     def __init__(self, ms: ManufacturedSolution, params: GasParameters, grid: Grid):
         self._ms = ms
         self._params = params
-        self._cells = grid.cell_centers
-        self._nodes = grid.node_positions[1:-1]
+        self._cells = _Profile(ms, grid.cell_centers)
+        self._nodes = _Profile(ms, grid.node_positions[1:-1])
         self._store = {}
 
     def _at_cells(self, t):
         """(S_v, S_theta, S_z) at time t, from the store when it holds them."""
         sources = self._store.get(t)
         if sources is None:
-            S_v, _, S_e, S_z, e_v = _residuals(self._ms, self._params, t, self._cells)
+            ms = self._ms
+            S_v, S_e, S_z, e_v = _cell_residuals(
+                self._params, self._cells, math.exp(-ms.rate * t), math.exp(-ms.rate_z * t))
             sources = (S_v, S_e - e_v * S_v, S_z)
             for s in sources:
                 s.flags.writeable = False
@@ -186,13 +232,18 @@ class ManufacturedSources:
         return self._at_cells(t)[0]
 
     def Su(self, t):
-        return _residuals(self._ms, self._params, t, self._nodes)[1]
+        return _momentum_residual(self._params, self._nodes, math.exp(-self._ms.rate * t))
 
     def Stheta(self, t):
         return self._at_cells(t)[1]
 
     def Sz(self, t):
         return self._at_cells(t)[2]
+
+
+def _check_timestep(dt):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"timestep must be a finite number > 0, got {dt!r}")
 
 
 def integrate_manufactured(
@@ -206,9 +257,11 @@ def integrate_manufactured(
     """March the forced system from the manufactured initial state to time T.
 
     Uses a constant step (the last one trimmed to land exactly on T) so
-    refinement studies control the timestep directly.  The cfl, Picard and
-    floor settings are ScenarioSpec's defaults.
+    refinement studies control the timestep directly; a step that is not a
+    finite number > 0 raises ConfigError.  The cfl, Picard and floor
+    settings are ScenarioSpec's defaults.
     """
+    _check_timestep(dt)
     spec = ScenarioSpec(params=params, L=L, N=N, T_end=T)
     grid = build_grid(L, N)
     sources = ManufacturedSources(ms, params, grid)
@@ -300,6 +353,8 @@ def temporal_convergence_study(
     """
     if len(dts) < 2:
         raise ConfigError("need at least 2 timesteps")
+    for dt in dts:
+        _check_timestep(dt)
     for a, b in zip(dts[:-1], dts[1:]):
         if abs(b - 0.5 * a) > 1e-12 * a:
             raise ConfigError("timesteps must halve at each level")

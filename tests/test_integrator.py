@@ -293,6 +293,28 @@ def test_non_finite_state_raises_blowup_naming_the_field(field):
                 select_timestep(state, grid, spec)
 
 
+@pytest.mark.parametrize("field", ["v", "theta", "z", "u"])
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e-200, 0.0, -0.0, -1.0, np.nan, np.inf,
+                                   -np.inf])
+def test_entry_guard_raises_what_the_full_pair_raises(field, value):
+    """The one entry check equals _check_finite then _check_quadrant, error and message,
+    and a finite state whose squares overflow raises no warning."""
+
+    def outcome(check):
+        try:
+            check()
+        except (BlowUpError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    grid = build_grid(10.0, 64)
+    state = gaussian_state(grid)
+    getattr(state, field)[10] = value
+    full_pair = outcome(lambda: (integrator._check_finite(state),
+                                 integrator._check_quadrant(state.v, state.theta)))
+    assert outcome(lambda: integrator._check_state(state)) == full_pair
+
+
 @pytest.mark.parametrize("field", ["v", "theta", "z"])
 def test_nan_result_rejects_the_step(field):
     grid = build_grid(10.0, 64)

@@ -138,6 +138,22 @@ def test_shared_sources_match_per_component_evaluation():
     assert sources.Sv(0.3).shape == (grid.N,)
 
 
+@pytest.mark.parametrize("ms", [ManufacturedSolution(0.0, 0.0, 0.0, 0.0),
+                                ManufacturedSolution(width=1.7, rate=0.3, rate_z=2.1)],
+                         ids=["rest", "width_and_rates"])
+def test_per_grid_factors_keep_every_bit_on_other_members(ms):
+    """The rest state, whose sources hold -0.0 where a factor is -0.0, and a member
+    with non-default width and rates, compared bit for bit, sign of zero included."""
+    grid = build_grid(8.0, 64)
+    sources = ManufacturedSources(ms, PARAMS, grid)
+    reference = PerComponentSources(ms, PARAMS, grid)
+    for t in (0.0, 0.05, 0.3, 0.05, 1.7):
+        for name in ("Sv", "Su", "Stheta", "Sz"):
+            got, want = getattr(sources, name)(t), getattr(reference, name)(t)
+            assert np.array_equal(got, want), (name, t)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name, t)
+
+
 def test_shared_sources_are_read_only():
     sources = ManufacturedSources(ManufacturedSolution(), PARAMS, build_grid(8.0, 64))
     for name in ("Sv", "Stheta", "Sz"):
@@ -153,6 +169,17 @@ def test_integration_with_shared_sources_is_bit_identical(monkeypatch):
     assert shared.t == plain.t
     for f in FIELDS:
         assert np.array_equal(getattr(shared, f), getattr(plain, f))
+
+
+@pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan])
+def test_manufactured_timestep_must_be_a_finite_positive_number(dt):
+    with pytest.raises(ConfigError, match="timestep must be a finite number > 0"):
+        integrate_manufactured(ManufacturedSolution(), PARAMS, 8.0, 64, 0.2, dt)
+
+
+def test_temporal_study_names_a_negative_timestep():
+    with pytest.raises(ConfigError, match="timestep must be a finite number > 0"):
+        temporal_convergence_study(ManufacturedSolution(), PARAMS, 64, [-0.01, -0.005], T=0.1)
 
 
 def test_manufactured_fields_stay_physical():
