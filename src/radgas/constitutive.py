@@ -4,7 +4,9 @@ Pressure and internal energy combine an ideal-gas part with a fourth-power
 radiation part; heat conduction grows like a power of temperature; the
 reaction rate follows an Arrhenius law.  Everything here is a pure function
 of (parameters, v, theta): no floors, no clipping, valid on the open
-quadrant v > 0, theta > 0.
+quadrant v > 0, theta > 0.  Every public law checks its arguments with the
+one quadrant guard, ``_check_quadrant``, which refuses a NaN as well as a
+value <= 0 with ValueError.
 """
 
 from dataclasses import dataclass, fields
@@ -62,11 +64,15 @@ class GasParameters:
             raise ConfigError(f"rate exponent beta must be >= 0, got {self.beta}")
 
 
+def _check_positive(x, name):
+    # written so that a NaN fails the test
+    if not (np.asarray(x) > 0.0).all():
+        raise ValueError(f"{name} must be strictly positive")
+
+
 def _check_quadrant(v, theta):
-    if (np.asarray(v) <= 0.0).any():
-        raise ValueError("specific volume must be strictly positive")
-    if (np.asarray(theta) <= 0.0).any():
-        raise ValueError("temperature must be strictly positive")
+    _check_positive(v, "specific volume")
+    _check_positive(theta, "temperature")
 
 
 # Unguarded kernels: one body per law.  The public functions below check the
@@ -124,8 +130,7 @@ def reaction_rate(params: GasParameters, theta):
     Underflow of the exponential for tiny theta returns exactly 0, which is
     the correct physical limit.
     """
-    if (np.asarray(theta) <= 0.0).any():
-        raise ValueError("temperature must be strictly positive")
+    _check_positive(theta, "temperature")
     return _reaction_rate(params, theta)
 
 

@@ -247,10 +247,15 @@ def boundary_deviation(state: State, grid: Grid) -> float:
     return worst
 
 
+def _u_on_cells(u: np.ndarray) -> np.ndarray:
+    """The node velocity averaged onto the cells."""
+    return 0.5 * (u[:-1] + u[1:])
+
+
 def norms(state: State, grid: Grid) -> dict:
     """Deviation norms of (v-1, u, theta-1, z) and their discrete gradients."""
     dx = grid.dx
-    devs = (state.v - 1.0, 0.5 * (state.u[:-1] + state.u[1:]), state.theta - 1.0, state.z)
+    devs = (state.v - 1.0, _u_on_cells(state.u), state.theta - 1.0, state.z)
     p2 = sum(np.sum(f**2) for f in devs) * dx
     p4 = sum(np.sum(f**4) for f in devs) * dx
     linf = max(float(np.max(np.abs(f))) for f in devs)

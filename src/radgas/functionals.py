@@ -18,7 +18,7 @@ from .constitutive import (
     internal_energy,
     pressure,
 )
-from .domain import Grid, State, boundary_deviation, norms
+from .domain import Grid, State, _u_on_cells, boundary_deviation, norms
 from .errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 
 __all__ = [
@@ -112,10 +112,6 @@ def _node_masses(grid: Grid) -> np.ndarray:
     m[0] = 0.5 * grid.dx
     m[-1] = 0.5 * grid.dx
     return m
-
-
-def _u_on_cells(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (u[:-1] + u[1:])
 
 
 def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:

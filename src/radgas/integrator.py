@@ -14,16 +14,17 @@ discrete maximum principle, so 0 <= z <= max(z) holds for arbitrary data.
 
 Positivity failures and non-convergence reject the step and retry at dt/2;
 repeated rejection raises BlowUpError.  Once per call, on entry, each public
-substep and ``strang_step`` check their input state in one pass: a NaN or
-inf raises BlowUpError naming the field, and a state outside the open
-quadrant v > 0, theta > 0 raises ValueError.  ``select_timestep`` checks
-the quadrant the same way.  All of them then evaluate the unguarded
+substep, ``strang_step`` and ``select_timestep`` check their whole input
+state with the one guard, ``_check_state``: a NaN or inf in any field raises
+BlowUpError naming the field, and a state outside the open quadrant v > 0,
+theta > 0 raises ValueError.  All of them then evaluate the unguarded
 constitutive kernels.  Every tridiagonal solve goes through
 ``tridiagonal_solve``, which makes the read-only LAPACK arguments of an
 order n once and reuses them.
 """
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,20 +166,14 @@ _DPTTRF = _bind_lapack("dpttrf", _INT, _PTR, _PTR, _INT)
 _DPTTRS = _bind_lapack("dpttrs", _INT, _INT, _PTR, _PTR, _PTR, _INT, _INT)
 _ONE = ctypes.byref(ctypes.c_int64(1))
 _FLOAT64 = np.dtype(np.float64)
+
+
 # byref(c_int64(n)) per order n, made on first use.  LAPACK only reads it, so
 # calls and threads share it; the info argument, which LAPACK writes, is per call.
-# A run meets two orders per grid; the store is emptied when it fills, so it stays small.
-_ORDER_REFS = {}
-_MAX_ORDER_REFS = 64
-
-
+# A run meets two orders per grid, so a small cache holds them.
+@functools.lru_cache(maxsize=64)
 def _order_ref(n):
-    ref = _ORDER_REFS.get(n)
-    if ref is None:
-        if len(_ORDER_REFS) >= _MAX_ORDER_REFS:
-            _ORDER_REFS.clear()
-        ref = _ORDER_REFS[n] = ctypes.byref(ctypes.c_int64(n))
-    return ref
+    return ctypes.byref(ctypes.c_int64(n))
 
 
 def _address(buf):
@@ -252,32 +247,27 @@ def tridiagonal_solve(off, diag, rhs, *, factors=None):
     return buf[2 * n - 1:].copy()
 
 
-def _check_finite(state, names=("v", "theta", "z", "u")):
-    """BlowUpError naming the first of the fields ``names`` that holds a NaN or inf."""
-    for name in names:
+def _check_finite(state):
+    """BlowUpError naming the first field of the state that holds a NaN or inf."""
+    for name in ("v", "theta", "z", "u"):
         if not np.isfinite(getattr(state, name)).all():
             raise BlowUpError(f"non-finite {name} in the state at t = {state.t:.6g}")
 
 
-def _in_quadrant(v, theta):
-    """Whether v > 0 and theta > 0 everywhere; False on a NaN."""
-    return v.min() > 0.0 and theta.min() > 0.0
-
-
 def _check_state(state):
-    """The entry guard of a step: ``_check_finite``, then ``_check_quadrant``.
+    """The guard of all five step functions: ``_check_finite``, then ``_check_quadrant``.
 
-    A sum of squares is finite only if every entry is, so the usual state
-    passes on four dot products and two minima.  ``np.vdot`` raises no
-    floating-point warning on overflow and keeps the GIL, where ``np.dot``
-    does neither in numpy 2.4.  Any other state, a finite one whose squares
-    overflow included, goes through the full pair, which raises the exact
-    error.
+    A sum of squares is finite only if every entry is, and a minimum that is
+    > 0 holds no NaN, so the usual state passes on four dot products and two
+    minima.  ``np.vdot`` raises no floating-point warning on overflow and
+    keeps the GIL, where ``np.dot`` does neither in numpy 2.4.  Any other
+    state, a finite one whose squares overflow included, goes through the
+    full pair, which raises the exact error.
     """
     v, theta, z, u = state.v, state.theta, state.z, state.u
     squares = (float(np.vdot(v, v)) + float(np.vdot(theta, theta))
                + float(np.vdot(z, z)) + float(np.vdot(u, u)))
-    if math.isfinite(squares) and _in_quadrant(v, theta):
+    if math.isfinite(squares) and v.min() > 0.0 and theta.min() > 0.0:
         return
     _check_finite(state)
     _check_quadrant(v, theta)
@@ -289,14 +279,15 @@ def select_timestep(state: State, grid: Grid, spec: ScenarioSpec, dt_max: float 
     The per-cell signal speed is v*sqrt(max(-p_v + p_theta^2*theta/e_theta, 0)/v)
     evaluated from the constitutive partials; the cell velocity scale is the
     larger of the two adjacent node speeds.  Diffusive terms place no
-    restriction because they are integrated implicitly.  A NaN or inf in
-    v, theta or u makes the speed non-finite and raises BlowUpError.
+    restriction because they are integrated implicitly.  The whole state is
+    checked on entry, as by the steps; a speed that then overflows raises
+    BlowUpError.
     """
     params = spec.params
+    _check_state(state)
     v, theta = state.v, state.theta
-    if not _in_quadrant(v, theta):
-        _check_quadrant(v, theta)
-    # a non-finite input is reported below as BlowUpError, not as a numpy warning
+    # a finite state can still overflow theta**3; that is reported below as
+    # BlowUpError, not as a numpy warning
     with np.errstate(invalid="ignore", over="ignore"):
         theta_cu = theta**3
         p_v = _p_v(params, v, theta)
@@ -308,7 +299,6 @@ def select_timestep(state: State, grid: Grid, spec: ScenarioSpec, dt_max: float 
         u_cell = np.maximum(abs_u[:-1], abs_u[1:])
         speed = float((u_cell + c).max())
     if not math.isfinite(speed):
-        _check_finite(state, ("v", "theta", "u"))
         raise BlowUpError(f"acoustic signal speed overflowed at t = {state.t:.6g}")
     if speed <= 0.0:
         return dt_max if math.isfinite(dt_max) else 1.0

@@ -23,7 +23,7 @@ from .constitutive import (
     _pressure,
     _reaction_rate,
 )
-from .domain import Grid, ScenarioSpec, State, build_grid
+from .domain import Grid, ScenarioSpec, State, _gaussian_profile, build_grid
 from .errors import ConfigError
 from .integrator import run_simulation, strang_step
 
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 FIELDS = ("v", "u", "theta", "z")
-
-
-def _gaussian(x, width):
-    return np.exp(-(x * x) / (width * width))
 
 
 @dataclass(frozen=True)
@@ -64,16 +60,16 @@ class ManufacturedSolution:
     rate_z: float = 0.5
 
     def v(self, t, x):
-        return 1.0 + self.amp_v * _gaussian(x, self.width) * math.exp(-self.rate * t)
+        return 1.0 + self.amp_v * _gaussian_profile(x, self.width) * math.exp(-self.rate * t)
 
     def u(self, t, x):
-        return self.amp_u * x * _gaussian(x, self.width) * math.exp(-self.rate * t)
+        return self.amp_u * x * _gaussian_profile(x, self.width) * math.exp(-self.rate * t)
 
     def theta(self, t, x):
-        return 1.0 + self.amp_theta * _gaussian(x, self.width) * math.exp(-self.rate * t)
+        return 1.0 + self.amp_theta * _gaussian_profile(x, self.width) * math.exp(-self.rate * t)
 
     def z(self, t, x):
-        return self.amp_z * _gaussian(x, self.width) * math.exp(-self.rate_z * t)
+        return self.amp_z * _gaussian_profile(x, self.width) * math.exp(-self.rate_z * t)
 
     def state(self, grid: Grid, t: float) -> State:
         return State(
@@ -97,7 +93,7 @@ class _Profile:
     def __init__(self, ms: ManufacturedSolution, x):
         x = np.asarray(x, dtype=float)
         w2 = ms.width * ms.width
-        g = _gaussian(x, ms.width)
+        g = _gaussian_profile(x, ms.width)
         g_x = -2.0 * x / w2 * g
         g_xx = (-2.0 / w2 + 4.0 * x * x / (w2 * w2)) * g
         self.v = ms.amp_v * g

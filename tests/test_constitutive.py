@@ -1,11 +1,12 @@
 """Constitutive laws: hand values, derivative oracles, and sign properties."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from radgas import constitutive
+from radgas import constitutive, verify_suite
 from radgas.constitutive import (
     GasParameters,
     conduction_potential,
@@ -56,11 +57,13 @@ def test_partials_hand_values():
 
 
 def test_partials_match_central_differences():
-    """Analytic derivatives agree with a finite-difference oracle at 1e3 points."""
+    """Analytic derivatives agree with a finite-difference oracle at 1e3 points, and
+    verify's array form of the oracle reports the worst mismatch this loop finds."""
     gp = params(R=1.7, Cv=0.9, a=0.4)
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.1, 10.0, size=(1000, 2))
     h = 1e-6
+    worst = 0.0
     for v, th in pts:
         p_v, p_th, e_v, e_th = constitutive_partials(gp, v, th)
         fd_pv = (pressure(gp, v + h, th) - pressure(gp, v - h, th)) / (2 * h)
@@ -71,6 +74,10 @@ def test_partials_match_central_differences():
         assert p_th == pytest.approx(fd_pth, rel=1e-5)
         assert e_v == pytest.approx(fd_ev, rel=1e-5, abs=1e-8)
         assert e_th == pytest.approx(fd_eth, rel=1e-5)
+        for exact, approx in ((p_v, fd_pv), (p_th, fd_pth), (e_v, fd_ev), (e_th, fd_eth)):
+            worst = max(worst, abs(exact - approx) / max(1.0, abs(exact)))
+    assert verify_suite._check_partials_fd(gp, np.random.default_rng(7)) == (
+        True, f"max relative mismatch {worst:.2e} (tol 1e-5)")
 
 
 def test_entropy_hand_values():
@@ -143,6 +150,25 @@ def test_domain_errors_on_nonpositive_inputs():
         reaction_rate(gp, 0.0)
     with pytest.raises(ValueError):
         constitutive_partials(gp, 0.0, 1.0)
+
+
+LAWS = [getattr(constitutive, name) for name in constitutive.__all__
+        if inspect.isfunction(getattr(constitutive, name))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.__name__)
+def test_every_law_refuses_nan_and_negative_infinity(law, bad):
+    """Every public law runs the one quadrant guard, so a NaN, on a scalar or
+    inside an array, raises instead of passing through to the result."""
+    names = list(inspect.signature(law).parameters)[1:]
+    quantity = {"v": "specific volume", "theta": "temperature"}
+    for i, name in enumerate(names):
+        for value in (bad, np.array([1.0, bad, 2.0])):
+            args = [1.0] * len(names)
+            args[i] = value
+            with pytest.raises(ValueError, match=f"^{quantity[name]} must be strictly positive$"):
+                law(params(), *args)
 
 
 def test_kernels_equal_public_functions():

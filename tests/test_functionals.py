@@ -8,7 +8,7 @@ import pytest
 
 from radgas.cli import _NearestSamples
 from radgas.constitutive import GasParameters, pressure
-from radgas.domain import ScenarioSpec, State, build_grid, norms
+from radgas.domain import ScenarioSpec, State, _u_on_cells, build_grid, norms
 from radgas.errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 from radgas.functionals import (
     WindowHistory,
@@ -16,7 +16,6 @@ from radgas.functionals import (
     _cutoff,
     _strip_weights,
     _suffix_trapezoid,
-    _u_on_cells,
     _window_cells,
     accumulate_XY_increment,
     dissipation_rate,

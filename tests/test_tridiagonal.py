@@ -251,8 +251,8 @@ def test_threads_solving_symmetric_systems_share_no_buffer():
 
 
 def test_lapack_order_arguments_stay_few_over_many_orders():
-    """The byref of each order is kept for reuse, in a store that empties when full."""
-    for n in range(1, 3 * integrator._MAX_ORDER_REFS):
+    """The byref of each order is kept for reuse, in a cache of at most 64 orders."""
+    for n in range(1, 3 * 64):
         rhs = np.arange(1.0, n + 1.0)
         assert np.array_equal(tridiagonal_solve(np.zeros(n - 1), np.ones(n), rhs), rhs)
-        assert len(integrator._ORDER_REFS) <= integrator._MAX_ORDER_REFS
+        assert integrator._order_ref.cache_info().currsize <= 64
