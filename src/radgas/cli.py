@@ -107,7 +107,11 @@ def _parse_beta_token(token):
 
 @dataclass
 class SweepConfig:
-    """Grid of conductivity/rate exponents layered over a base run."""
+    """Grid of conductivity/rate exponents layered over a base run.
+
+    Each cell's scenario is built, so validated, with the config and kept in
+    ``specs``, in ``cells()`` order; a plain attribute, as every field is a key.
+    """
 
     base: RunConfig
     b_values: list[float]
@@ -120,10 +124,12 @@ class SweepConfig:
             raise ConfigError("sweep value lists must be nonempty")
         if self.max_parallel < 1:
             raise ConfigError("max_parallel must be >= 1")
+        base = self.base.scenario
+        self.specs = []
         owners = {}
         for b, beta in self.cells():
             try:
-                replace(self.base.scenario.params, b=b, beta=beta)
+                self.specs.append(replace(base, params=replace(base.params, b=b, beta=beta)))
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell (b={b:g}, beta={beta:g}): {exc}") from exc
             name, cell = self.cell_dir(b, beta), f"(b={b!r}, beta={beta!r})"
@@ -404,17 +410,17 @@ def _run_jobs(jobs, workers):
     return [future.result() for future in futures]
 
 
-def _sweep_cell(base: RunConfig, b: float, beta: float, out_dir: str):
-    params = replace(base.scenario.params, b=b, beta=beta)
-    spec = replace(base.scenario, params=params)
-    admissible = validate_parameters(params).admissible
+def _sweep_cell(spec: ScenarioSpec, sample_cadence: float, out_dir: str):
+    """Run one cell's validated scenario into ``out_dir``; returns its summary row."""
+    params = spec.params
     row = {
-        "b": b, "beta": beta, "admissible": admissible, "status": "completed",
+        "b": params.b, "beta": params.beta, "admissible": validate_parameters(params).admissible,
+        "status": "completed",
         "final_Linf_dev": math.nan, "X_final": math.nan, "Y_final": math.nan,
         "min_theta": math.nan, "max_theta": math.nan,
     }
     try:
-        result = run_simulation(spec, sample_cadence=base.sample_cadence)
+        result = run_simulation(spec, sample_cadence=sample_cadence)
     except BlowUpError as exc:
         row["status"] = "blowup"
         _write_abort_report(out_dir, exc)
@@ -443,15 +449,13 @@ def sweep_command(config_path, output_dir=None) -> int:
     out_root = output_dir or config.base.output_dir
     os.makedirs(out_root, exist_ok=True)
 
-    jobs = [
-        (b, beta, os.path.join(out_root, config.cell_dir(b, beta)))
-        for b, beta in config.cells()
-    ]
+    cadences = [config.base.sample_cadence] * len(config.specs)
+    out_dirs = [os.path.join(out_root, config.cell_dir(b, beta)) for b, beta in config.cells()]
     if workers == 1:
-        rows = [_sweep_cell(config.base, b, beta, d) for b, beta, d in jobs]
+        rows = list(map(_sweep_cell, config.specs, cadences, out_dirs))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda j: _sweep_cell(config.base, *j[:2], j[2]), jobs))
+            rows = list(pool.map(_sweep_cell, config.specs, cadences, out_dirs))
 
     rows.sort(key=lambda r: (r["b"], r["beta"]))
     lines = ["b,beta,admissible,status,final_Linf_dev,X_final,Y_final,min_theta,max_theta"]

@@ -284,11 +284,12 @@ def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
     if state.v.shape != (grid.N,) or state.u.shape != (grid.N + 1,):
         raise ConfigError("state shape does not match grid")
     failures = []
-    if np.min(state.v) <= 0:
+    # written so that a NaN fails each test
+    if not np.min(state.v) > 0:
         failures.append("v0 not strictly positive")
-    if np.min(state.theta) <= 0:
+    if not np.min(state.theta) > 0:
         failures.append("theta0 not strictly positive")
-    if np.min(state.z) < 0 or np.max(state.z) > 1:
+    if not (np.min(state.z) >= 0 and np.max(state.z) <= 1):
         failures.append("z0 leaves [0, 1]")
 
     far = boundary_deviation(state, grid)

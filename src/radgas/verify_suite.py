@@ -24,7 +24,7 @@ from .constitutive import (
     pressure,
 )
 from .domain import State, build_grid, make_initial_data
-from .errors import InsufficientHistory, WindowOutOfDomain
+from .errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 from .functionals import (
     WindowHistory,
     representation_check,
@@ -32,6 +32,8 @@ from .functionals import (
     theta_bound_from_Y,
 )
 from .integrator import (
+    MAX_SUBCYCLES,
+    _species_rates,
     run_simulation,
     select_timestep,
     species_step,
@@ -121,19 +123,26 @@ def _check_tridiagonal(rng):
     return worst < 1e-10, f"max deviation from dense solve {worst:.2e} (tol 1e-10)"
 
 
+# The maximum-principle check draws v and theta from _SPECIES_RANGE and dt
+# below _SPECIES_DT_MAX, on this grid.
+_SPECIES_GRID = (10.0, 64)
+_SPECIES_RANGE = (0.3, 3.0)
+_SPECIES_DT_MAX = 0.5
+
+
 def _check_species_max_principle(spec, rng):
-    grid = build_grid(10.0, 64)
+    grid = build_grid(*_SPECIES_GRID)
     violations = 0.0
     for _ in range(25):
         state = State(
             t=0.0,
-            v=rng.uniform(0.3, 3.0, grid.N),
-            theta=rng.uniform(0.3, 3.0, grid.N),
+            v=rng.uniform(*_SPECIES_RANGE, grid.N),
+            theta=rng.uniform(*_SPECIES_RANGE, grid.N),
             z=rng.uniform(0.0, 1.0, grid.N),
             u=np.zeros(grid.N + 1),
         )
         zmax = float(np.max(state.z))
-        new = species_step(state, grid, spec, dt=rng.uniform(0.001, 0.5))
+        new = species_step(state, grid, spec, dt=rng.uniform(0.001, _SPECIES_DT_MAX))
         violations = max(violations, -float(np.min(new.z)), float(np.max(new.z)) - zmax)
     return violations <= 1e-13, f"worst confinement excursion {violations:.2e} (tol 1e-13)"
 
@@ -322,7 +331,9 @@ def _jobs(config):
 
     Each job returns its (name, passed, detail) rows.  Every scenario a check
     derives from the configured one is built here, so one that is invalid
-    raises ConfigError before any check runs.
+    raises ConfigError before any check runs; so does a species update that
+    the maximum-principle check's worst draw (least v, greatest theta,
+    longest dt) would need more than MAX_SUBCYCLES subcycles for.
     """
     spec = config.scenario
     params = spec.params
@@ -331,6 +342,16 @@ def _jobs(config):
     for pair in _ORACLE_PAIRS:
         for N in pair:
             replace(oracle_box, N=N)  # built to be validated; the check builds its own
+    grid = build_grid(*_SPECIES_GRID)
+    least, greatest = _SPECIES_RANGE
+    worst = State(0.0, np.full(grid.N, least), np.full(grid.N, greatest), np.zeros(grid.N),
+                  np.zeros(grid.N + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        needed = _species_rates(worst, grid, params, _SPECIES_DT_MAX)[3]
+    if not needed <= MAX_SUBCYCLES:
+        raise ConfigError(f"the species maximum-principle check needs {needed:.3g} subcycles "
+                          f"at v = {least:g}, theta = {greatest:g}, dt = {_SPECIES_DT_MAX:g} "
+                          f"(at most {MAX_SUBCYCLES}); K_react or d is too large")
     return [
         (_seeded_rows, (spec,)),
         (_rows, ("manufactured-solution spatial order", _check_mms_spatial, params)),

@@ -1,5 +1,6 @@
 """Config parsing, command exit codes, artifact formats, determinism."""
 
+import dataclasses
 import filecmp
 import multiprocessing
 import os
@@ -17,10 +18,13 @@ import radgas
 import radgas.integrator
 from radgas import verify_suite
 from radgas.cli import (
+    _PARSERS,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    RunConfig,
+    SweepConfig,
     _run_jobs,
     _worker_count,
     load_run_config,
@@ -29,6 +33,8 @@ from radgas.cli import (
     run_command,
     sweep_command,
 )
+from radgas.constitutive import GasParameters
+from radgas.domain import ScenarioSpec
 from radgas.errors import BlowUpError, ConfigError, SingularMatrixError, WindowOutOfDomain
 
 SMALL_SCENARIO = """
@@ -70,6 +76,17 @@ def test_load_run_config_roundtrip(tmp_path):
     assert cfg.probes == [0, 2]
     assert cfg.emit_snapshots
     assert cfg.snapshot_times == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("cls", [GasParameters, ScenarioSpec, RunConfig, SweepConfig],
+                         ids=lambda cls: cls.__name__)
+def test_every_config_key_has_a_parser(cls):
+    """Every field ``_read_section`` reads as a key, that is every field but the one
+    dataclass it is given, converts by its ``parse`` metadata or a ``_PARSERS`` type.
+    Without either, setting the key would end in a KeyError traceback."""
+    for f in dataclasses.fields(cls):
+        if not dataclasses.is_dataclass(f.type):
+            assert "parse" in f.metadata or f.type in _PARSERS, f"{cls.__name__}.{f.name}"
 
 
 def test_unknown_key_is_fatal(tmp_path):
@@ -321,7 +338,7 @@ def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_invalid_cell_exits_2_before_any_cell_runs(tmp_path, capsys):
-    for bvals, betavals in (("3", "0, -1"), ("-1, 3", "2")):
+    for bvals, betavals in (("3", "0, -1"), ("-1, 3", "2"), ("3", "0, 1000")):
         text = SMALL_SCENARIO.format(out=tmp_path / "bad") + SWEEP_TAIL.format(
             bvals=bvals, betavals=betavals, workers="2")
         assert sweep_command(write_config(tmp_path, text)) == EXIT_CONFIG
@@ -359,7 +376,8 @@ INVALID_SCENARIOS = {
 }
 # Valid as configured, but not in the L = 10 box where verify runs some checks.
 INVALID_IN_VERIFY_BOX = {"far field in the L = 10 box": {"L = 10.0": "L = 20.0",
-                                                         "width = 1.0": "width = 3.0"}}
+                                                         "width = 1.0": "width = 3.0"},
+                         "species check past the subcycle cap": {"b = 3.0": "b = 3.0\nd = 1000"}}
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "verify"])

@@ -129,13 +129,18 @@ def test_validate_initial_data_gaussian_species_mass():
 
 
 def test_validate_initial_data_flags_negative_volume():
+    """A negative volume, and a NaN in v, theta or z, fails that field's own test."""
     s = spec(family="equilibrium")
     grid = build_grid(s.L, s.N)
-    state = make_initial_data(s, grid)
-    state.v[3] = -0.1
-    report = validate_initial_data(state, grid)
-    assert not report.passed
-    assert any("positive" in f for f in report.failures)
+    for field, value, failure in (("v", -0.1, "v0 not strictly positive"),
+                                  ("v", np.nan, "v0 not strictly positive"),
+                                  ("theta", np.nan, "theta0 not strictly positive"),
+                                  ("z", np.nan, "z0 leaves [0, 1]")):
+        state = make_initial_data(s, grid)
+        getattr(state, field)[3] = value
+        report = validate_initial_data(state, grid)
+        assert not report.passed
+        assert failure in report.failures, (field, value, report.failures)
 
 
 def test_validate_initial_data_flags_far_field_violation():

@@ -315,12 +315,33 @@ def test_entry_guard_raises_what_the_full_pair_raises(field, value):
 
 
 @pytest.mark.parametrize("field", ["v", "theta", "z"])
-def test_nan_result_rejects_the_step(field):
+def test_nan_result_rejects_the_step(field, monkeypatch):
+    """A NaN made inside a step rejects the attempt and halves dt.  It enters v
+    through the hydro solve (N - 1 rows) and theta through the first heat solve
+    (N rows, unfactored); a NaN in z fails the confinement test at the step's end."""
     grid = build_grid(10.0, 64)
     state = gaussian_state(grid)
-    getattr(state, field)[10] = np.nan
-    with pytest.raises(PositivityError):
-        _check_state_bounds(state, SPEC, forced=False)
+    if field == "z":
+        state.z[10] = np.nan
+        with pytest.raises(PositivityError):
+            _check_state_bounds(state)
+        return
+    rows = grid.N - 1 if field == "v" else grid.N
+    real = integrator.tridiagonal_solve
+    injected = []
+
+    def nan_once(off, diag, rhs, *, factors=None):
+        x = real(off, diag, rhs, factors=factors)
+        if not injected and factors is None and x.shape == (rows,):
+            injected.append(field)
+            x[10] = np.nan
+        return x
+
+    monkeypatch.setattr(integrator, "tridiagonal_solve", nan_once)
+    out = strang_step(state, grid, SPEC, 0.01)
+    assert injected
+    assert out.rejected_count == 1
+    assert out.dt_used == 0.005
 
 
 @pytest.mark.parametrize("field, value", [("v", 0.0), ("v", -1.0), ("theta", 0.0),
