@@ -62,9 +62,11 @@ class State:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Initial-data family plus domain, mesh, and solver configuration, validated when built."""
+    """Gaussian initial data plus domain, mesh, and solver configuration, validated when built.
 
-    family: str = "gaussian"
+    The defaults, all amplitudes 0.0, are the exact rest state.
+    """
+
     amplitude_v: float = 0.0
     amplitude_u: float = 0.0
     amplitude_theta: float = 0.0
@@ -81,8 +83,6 @@ class ScenarioSpec:
     floor_theta: float = 1e-6
 
     def __post_init__(self):
-        if self.family not in ("equilibrium", "gaussian", "compact_bump"):
-            raise ConfigError(f"unknown initial-data family {self.family!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and not np.isfinite(value):
@@ -141,42 +141,22 @@ def _gaussian_profile(x, width):
     return np.exp(-(x**2) / width**2)
 
 
-def _compact_bump_profile(x, width, L):
-    # Support capped at |x| <= L/2 so the outer half of the domain is exactly
-    # at the far-field state regardless of the width parameter.
-    half = min(0.5 * L, 4.0 * width)
-    s2 = (x / half) ** 2
-    out = np.zeros_like(x)
-    inside = s2 < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    return out
-
-
 def make_initial_data(spec: ScenarioSpec, grid: Grid) -> State:
-    """Sample the configured initial-data family onto the grid.
+    """Sample the Gaussian perturbation of the rest state onto the grid.
 
-    The perturbation profile multiplies each amplitude; the equilibrium
-    family returns the exact rest state.  Raises ConfigError when an
+    The profile exp(-x^2 / width^2) multiplies each amplitude, so zero
+    amplitudes give the exact rest state.  Raises ConfigError when an
     amplitude would violate positivity of v or theta or push z out of [0, 1].
     """
-    if spec.family == "equilibrium":
-        profile_c = np.zeros(grid.N)
-        profile_n = np.zeros(grid.N + 1)
-    elif spec.family == "gaussian":
-        profile_c = _gaussian_profile(grid.cell_centers, spec.width)
-        profile_n = _gaussian_profile(grid.node_positions, spec.width)
-    else:
-        profile_c = _compact_bump_profile(grid.cell_centers, spec.width, grid.L)
-        profile_n = _compact_bump_profile(grid.node_positions, spec.width, grid.L)
-
-    if spec.family != "equilibrium":
-        # profiles peak at 1, so the amplitude alone decides positivity
-        if spec.amplitude_v <= -1.0:
-            raise ConfigError("amplitude_v would make the initial volume nonpositive")
-        if spec.amplitude_theta <= -1.0:
-            raise ConfigError("amplitude_theta would make the initial temperature nonpositive")
-        if not (0.0 <= spec.amplitude_z <= 1.0):
-            raise ConfigError("amplitude_z must lie in [0, 1] to keep z within bounds")
+    # the profile peaks at 1, so the amplitude alone decides positivity
+    if spec.amplitude_v <= -1.0:
+        raise ConfigError("amplitude_v would make the initial volume nonpositive")
+    if spec.amplitude_theta <= -1.0:
+        raise ConfigError("amplitude_theta would make the initial temperature nonpositive")
+    if not (0.0 <= spec.amplitude_z <= 1.0):
+        raise ConfigError("amplitude_z must lie in [0, 1] to keep z within bounds")
+    profile_c = _gaussian_profile(grid.cell_centers, spec.width)
+    profile_n = _gaussian_profile(grid.node_positions, spec.width)
 
     v = 1.0 + spec.amplitude_v * profile_c
     theta = 1.0 + spec.amplitude_theta * profile_c

@@ -468,7 +468,8 @@ def _species_update(state, grid, params, dt, sources=None):
         sum(z_new)*dx + consumed = sum(z_old)*dx + injected sources
 
     an identity up to solver round-off (end faces carry no flux).  An update
-    that would need more than MAX_SUBCYCLES subcycles raises ConvergenceError.
+    that would need more than MAX_SUBCYCLES subcycles, or that makes a NaN or
+    inf, raises ConvergenceError.
     """
     t0 = state.t
     dx = grid.dx
@@ -494,6 +495,9 @@ def _species_update(state, grid, params, dt, sources=None):
         z_new = tridiagonal_solve(off, diag, rhs, factors=factors)
         consumed += delta * float((half_phi * (z + z_new)).sum()) * dx
         z = z_new
+    # a NaN or inf anywhere in z, in any subcycle, makes the sum non-finite
+    if not math.isfinite(consumed):
+        raise ConvergenceError("species update produced a non-finite reactant fraction")
     return z, consumed
 
 
@@ -526,7 +530,8 @@ def strang_step(state, grid, spec, dt, sources=None):
 
     Each bound is checked, NaN-proof, where its field is made: v > floor_v
     and u = 0 at the walls by ``hydro_step``, theta > floor_theta by the
-    second ``heat_step``, and, unforced, 0 <= z <= 1 at the step's end.
+    second ``heat_step``, a finite z by each species substep, and, unforced,
+    0 <= z <= 1 at the step's end.
     """
     params = spec.params
     _check_state(state)

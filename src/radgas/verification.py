@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 FIELDS = ("v", "u", "theta", "z")
+# Half-width of the box the refinement studies run in, and the joint study's
+# timestep per cell width
+STUDY_L = 8.0
+DT_OVER_DX = 0.25
 
 
 @dataclass(frozen=True)
@@ -311,8 +315,7 @@ def convergence_study(
     params: GasParameters,
     resolutions,
     T: float,
-    L: float = 8.0,
-    dt_over_dx: float = 0.25,
+    L: float = STUDY_L,
 ) -> ConvergenceReport:
     """Joint space-time refinement: each level doubles N and halves dt.
 
@@ -327,7 +330,7 @@ def convergence_study(
     errors = []
     for N in resolutions:
         dx = 2.0 * L / N
-        state = integrate_manufactured(ms, params, L, N, T, dt_over_dx * dx)
+        state = integrate_manufactured(ms, params, L, N, T, DT_OVER_DX * dx)
         grid = build_grid(L, N)
         errors.append(_field_errors(state, vars(ms.state(grid, T)), grid.dx))
     return ConvergenceReport(errors=errors, orders=_orders(errors))
@@ -339,7 +342,6 @@ def temporal_convergence_study(
     N: int,
     dts,
     T: float,
-    L: float = 8.0,
 ) -> ConvergenceReport:
     """Pure timestep refinement at fixed N.
 
@@ -354,10 +356,10 @@ def temporal_convergence_study(
     for a, b in zip(dts[:-1], dts[1:]):
         if abs(b - 0.5 * a) > 1e-12 * a:
             raise ConfigError("timesteps must halve at each level")
-    grid = build_grid(L, N)
-    ref = integrate_manufactured(ms, params, L, N, T, dts[-1] / 4.0)
+    grid = build_grid(STUDY_L, N)
+    ref = integrate_manufactured(ms, params, STUDY_L, N, T, dts[-1] / 4.0)
     errors = [
-        _field_errors(integrate_manufactured(ms, params, L, N, T, dt), vars(ref), grid.dx)
+        _field_errors(integrate_manufactured(ms, params, STUDY_L, N, T, dt), vars(ref), grid.dx)
         for dt in dts
     ]
     return ConvergenceReport(errors=errors, orders=_orders(errors))

@@ -91,8 +91,8 @@ def _check_entropy_nonneg(params, rng):
 
 
 def _check_equilibrium_fixed_point(spec, steps):
-    spec = replace(spec, family="equilibrium", amplitude_v=0.0,
-                   amplitude_u=0.0, amplitude_theta=0.0, amplitude_z=0.0)
+    spec = replace(spec, amplitude_v=0.0, amplitude_u=0.0, amplitude_theta=0.0,
+                   amplitude_z=0.0)
     grid = build_grid(spec.L, spec.N)
     state = make_initial_data(spec, grid)
     for _ in range(steps):

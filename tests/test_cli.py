@@ -39,7 +39,6 @@ from radgas.errors import BlowUpError, ConfigError, SingularMatrixError, WindowO
 
 SMALL_SCENARIO = """
 [scenario]
-family = gaussian
 amplitude_v = 0.1
 amplitude_u = 0.1
 amplitude_theta = 0.2
@@ -108,10 +107,12 @@ def test_unknown_parameter_key_is_fatal(tmp_path):
     ("scenario", "dt_max"),
     ("scenario", "dt_min"),
     ("scenario", "max_step_rejections"),
+    ("scenario", "family"),
     ("params", "lam"),
 ])
 def test_config_keys_are_the_documented_ones(tmp_path, section, key):
-    """Solver-internal controls and the Python spelling of lambda are not keys."""
+    """Solver-internal controls, ``family`` (the initial data are always Gaussian)
+    and the Python spelling of lambda are not keys."""
     text = SMALL_SCENARIO.format(out=tmp_path).replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
     with pytest.raises(ConfigError, match="unknown keys"):
         load_run_config(write_config(tmp_path, text))
@@ -147,7 +148,7 @@ def test_run_command_produces_artifacts(tmp_path):
 
 
 def test_run_command_equilibrium_deviations_zero(tmp_path):
-    text = SMALL_SCENARIO.format(out=tmp_path / "eq").replace("family = gaussian", "family = equilibrium")
+    text = re.sub(r"(amplitude_\w+) = \S+", r"\1 = 0.0", SMALL_SCENARIO.format(out=tmp_path / "eq"))
     assert run_command(write_config(tmp_path, text)) == EXIT_OK
     rows = (tmp_path / "eq" / "diagnostics.csv").read_text().splitlines()[1:]
     dev_cols = [row.split(",")[14:18] for row in rows]

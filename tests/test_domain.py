@@ -1,4 +1,4 @@
-"""Grid construction, initial-data families, and validators."""
+"""Grid construction, initial data, and validators."""
 
 import math
 
@@ -44,8 +44,12 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(-1.0, 8)
 
 
+# Zero amplitudes: the rest state
+REST = dict(amplitude_v=0.0, amplitude_u=0.0, amplitude_theta=0.0, amplitude_z=0.0)
+
+
 def spec(**kw):
-    base = dict(family="gaussian", amplitude_v=0.1, amplitude_u=0.1,
+    base = dict(amplitude_v=0.1, amplitude_u=0.1,
                 amplitude_theta=0.2, amplitude_z=0.5, width=1.0,
                 params=GasParameters(), L=20.0, N=128, T_end=1.0)
     base.update(kw)
@@ -53,7 +57,7 @@ def spec(**kw):
 
 
 def test_equilibrium_family_is_exact_rest_state():
-    s = spec(family="equilibrium")
+    s = spec(**REST)
     grid = build_grid(s.L, s.N)
     state = make_initial_data(s, grid)
     assert np.all(state.v == 1.0)
@@ -72,16 +76,6 @@ def test_gaussian_family_profile():
     assert state.z[mid] == pytest.approx(0.5, abs=1e-2)
     assert np.max(state.z[np.abs(grid.cell_centers) > 15]) < 1e-10
     assert state.u[0] == 0.0 and state.u[-1] == 0.0
-
-
-def test_compact_bump_vanishes_beyond_half_domain():
-    s = spec(family="compact_bump", width=3.0, L=20.0, N=256)
-    grid = build_grid(s.L, s.N)
-    state = make_initial_data(s, grid)
-    outside = np.abs(grid.cell_centers) > 10.0
-    assert np.all(state.z[outside] == 0.0)
-    assert np.all(state.v[outside] == 1.0)
-    assert np.max(state.z) > 0.0
 
 
 def test_rejects_positivity_violating_amplitudes():
@@ -109,7 +103,7 @@ def test_validate_parameters_reports_regions():
 
 
 def test_validate_initial_data_equilibrium():
-    s = spec(family="equilibrium")
+    s = spec(**REST)
     grid = build_grid(s.L, s.N)
     report = validate_initial_data(make_initial_data(s, grid), grid)
     assert report.passed
@@ -130,7 +124,7 @@ def test_validate_initial_data_gaussian_species_mass():
 
 def test_validate_initial_data_flags_negative_volume():
     """A negative volume, and a NaN in v, theta or z, fails that field's own test."""
-    s = spec(family="equilibrium")
+    s = spec(**REST)
     grid = build_grid(s.L, s.N)
     for field, value, failure in (("v", -0.1, "v0 not strictly positive"),
                                   ("v", np.nan, "v0 not strictly positive"),
@@ -144,7 +138,7 @@ def test_validate_initial_data_flags_negative_volume():
 
 
 def test_validate_initial_data_flags_far_field_violation():
-    s = spec(family="equilibrium", L=5.0)
+    s = spec(**REST, L=5.0)
     grid = build_grid(s.L, s.N)
     state = make_initial_data(s, grid)
     state.theta[0] = 1.5
@@ -169,8 +163,6 @@ def test_far_field_clean_for_wide_domains():
 
 def test_scenario_spec_validation():
     with pytest.raises(ConfigError):
-        spec(family="squarewave")
-    with pytest.raises(ConfigError):
         spec(cfl=0.0)
     with pytest.raises(ConfigError):
         spec(T_end=0.0)
@@ -193,6 +185,6 @@ def test_scenario_refuses_a_reaction_rate_no_timestep_can_run():
     """At rest the species update over DT_MIN / 2 needs about 0.25 * DT_MIN * K_react / e
     subcycles; past MAX_SUBCYCLES every attempt of the first step would be rejected."""
     cap = MAX_SUBCYCLES * math.e / (0.25 * DT_MIN)
-    ScenarioSpec(family="equilibrium", N=64, params=GasParameters(K_react=0.5 * cap))
+    ScenarioSpec(N=64, params=GasParameters(K_react=0.5 * cap))
     with pytest.raises(ConfigError, match="subcycles"):
-        ScenarioSpec(family="equilibrium", N=64, params=GasParameters(K_react=2.0 * cap))
+        ScenarioSpec(N=64, params=GasParameters(K_react=2.0 * cap))

@@ -246,7 +246,7 @@ def test_accumulate_XY_identical_pair_contributes_nothing():
 
 def test_representation_equilibrium_reconstruction():
     """At rest the reconstruction collapses to a closed form equal to 1."""
-    spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=1.0)
+    spec = ScenarioSpec(L=10.0, N=128, T_end=1.0)
     states = []
     res = run_simulation(spec, sample_cadence=0.005, on_sample=states.append)
     probe = representation_check(_history(states, res.grid, 2), 1.0)
@@ -267,7 +267,7 @@ def test_representation_at_time_zero_returns_initial_volume():
 
 
 def test_representation_window_and_history_guards():
-    spec = ScenarioSpec(family="equilibrium", L=10.0, N=128, T_end=0.2)
+    spec = ScenarioSpec(L=10.0, N=128, T_end=0.2)
     states = []
     res = run_simulation(spec, sample_cadence=0.1, on_sample=states.append)
     with pytest.raises(WindowOutOfDomain):

@@ -229,14 +229,14 @@ def test_error_sequence_strictly_decreasing_for_smooth_fields():
 
 
 def test_oracle_compare_equilibrium_zero_discrepancy():
-    spec = ScenarioSpec(family="equilibrium", L=10.0, N=64, T_end=0.5)
+    spec = ScenarioSpec(L=10.0, N=64, T_end=0.5)
     result = oracle_compare(spec, 64, 256)
     for f in ("v", "u", "theta", "z"):
         assert result[f]["Linf"] < 1e-12
 
 
 def test_oracle_compare_requires_ratio_four():
-    spec = ScenarioSpec(family="equilibrium", L=10.0, N=64, T_end=0.5)
+    spec = ScenarioSpec(L=10.0, N=64, T_end=0.5)
     with pytest.raises(ConfigError):
         oracle_compare(spec, 64, 128)
 
