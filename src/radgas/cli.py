@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .constitutive import GasParameters
-from .domain import ScenarioSpec, _u_on_cells, build_grid, validate_parameters
+from .domain import ScenarioSpec, _midpoints, build_grid, validate_parameters
 from .errors import BlowUpError, ConfigError, WindowOutOfDomain
 from .functionals import (
     CSV_COLUMNS,
@@ -250,7 +250,7 @@ class _NearestSamples:
 
 def _write_snapshot(path, grid, state):
     xc = grid.cell_centers
-    u_c = _u_on_cells(state.u)
+    u_c = _midpoints(state.u)
     lines = [f"# t={state.t:.17g}"]
     for i in range(xc.size):
         lines.append(

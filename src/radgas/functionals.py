@@ -2,7 +2,10 @@
 
 Spatial integrals use the midpoint rule on cells; gradient quantities live
 on interior faces; time integrals over sampled histories use the trapezoid
-rule.  All functions here are read-only.
+rule.  All functions here are read-only.  ``make_record`` builds every
+diagnostic column of a sample in one pass, from intermediates it computes
+once: the deviations from the rest state, the squared differences of each
+field, and theta and v on the faces.
 """
 
 import copy
@@ -18,7 +21,7 @@ from .constitutive import (
     internal_energy,
     pressure,
 )
-from .domain import Grid, State, _u_on_cells, boundary_deviation, norms
+from .domain import Grid, State, _midpoints, boundary_deviation
 from .errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 
 __all__ = [
@@ -114,22 +117,24 @@ def _node_masses(grid: Grid) -> np.ndarray:
     return m
 
 
-def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:
-    """Viscous plus conductive entropy production; zero only for flat states."""
-    dx = grid.dx
-    u_x = np.diff(state.u) / dx
-    viscous = params.mu * u_x**2 / (state.v * state.theta)
-    th_f = 0.5 * (state.theta[:-1] + state.theta[1:])
-    v_f = 0.5 * (state.v[:-1] + state.v[1:])
-    th_x = np.diff(state.theta) / dx
-    conductive = conductivity(params, v_f, th_f) * th_x**2 / (v_f * th_f**2)
+def _squared_gradient(f: np.ndarray, dx: float) -> np.ndarray:
+    """The squared difference quotient of a field, one entry per neighbouring pair."""
+    return (np.diff(f) / dx) ** 2
+
+
+def _dissipation(params, v, theta, v_f, th_f, u_x2, th_x2, dx) -> float:
+    """V from the cell fields, their face averages and the squared gradients of u and theta."""
+    viscous = params.mu * u_x2 / (v * theta)
+    conductive = conductivity(params, v_f, th_f) * th_x2 / (v_f * th_f**2)
     return float((np.sum(viscous) + np.sum(conductive)) * dx)
 
 
-def _Y_now(state: State, grid: Grid, params: GasParameters) -> float:
-    th_f = 0.5 * (state.theta[:-1] + state.theta[1:])
-    th_x = np.diff(state.theta) / grid.dx
-    return float(np.sum((1.0 + th_f ** (2.0 * params.b)) * th_x**2) * grid.dx)
+def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:
+    """Viscous plus conductive entropy production; zero only for flat states."""
+    dx = grid.dx
+    return _dissipation(params, state.v, state.theta, _midpoints(state.v),
+                        _midpoints(state.theta), _squared_gradient(state.u, dx),
+                        _squared_gradient(state.theta, dx), dx)
 
 
 def accumulate_XY_increment(prev: State, cur: State, params: GasParameters, grid: Grid) -> float:
@@ -154,37 +159,47 @@ def make_record(state: State, grid: Grid, params: GasParameters, prev=None, prev
     temperature gradient.  The first sample passes neither, and its X is 0.
     """
     dx = grid.dx
+    v, theta, z, u = state.v, state.theta, state.z, state.u
+    # the intermediates every column below reads, each computed once
+    devs = (v - 1.0, _midpoints(u), theta - 1.0, z)
+    v_x2, th_x2, z_x2, u_x2 = (_squared_gradient(f, dx) for f in (v, theta, z, u))
+    v_f, th_f = _midpoints(v), _midpoints(theta)
+
     masses = _node_masses(grid)
     e_rest = internal_energy(params, 1.0, 1.0)
-    internal = np.sum(internal_energy(params, state.v, state.theta) - e_rest) * dx
-    kinetic = 0.5 * np.sum(masses * state.u**2)
-    chemical = params.lam * np.sum(state.z) * dx
-    eta = entropy_eta(params, state.v, state.theta)
+    internal = np.sum(internal_energy(params, v, theta) - e_rest) * dx
+    kinetic = 0.5 * np.sum(masses * u**2)
+    chemical = params.lam * np.sum(z) * dx
+    eta = entropy_eta(params, v, theta)
     if prev is None:
         X, Y = 0.0, 0.0
     else:
         X = prev.X + accumulate_XY_increment(prev_state, state, params, grid)
         Y = prev.Y
-    dev = norms(state, grid)
+    Y_now = float(np.sum((1.0 + th_f ** (2.0 * params.b)) * th_x2) * dx)
+    p2 = sum(np.sum(f**2) for f in devs) * dx
+    p4 = sum(np.sum(f**4) for f in devs) * dx
+    grads2 = (np.sum(v_x2) + np.sum(th_x2) + np.sum(z_x2)) * dx
+    grads2 += np.sum(u_x2) * dx
     return DiagnosticsRecord(
         t=state.t,
-        mass_dev=float(np.sum(state.v - 1.0) * dx),
-        momentum=float(np.sum(masses * state.u)),
+        mass_dev=float(np.sum(devs[0]) * dx),
+        momentum=float(np.sum(masses * u)),
         total_energy=float(internal + kinetic + chemical),
         G=float(np.sum(eta) * dx + kinetic),
-        V=dissipation_rate(state, grid, params),
+        V=_dissipation(params, v, theta, v_f, th_f, u_x2, th_x2, dx),
         X=X,
-        Y=max(Y, _Y_now(state, grid, params)),
-        min_v=float(np.min(state.v)),
-        max_v=float(np.max(state.v)),
-        min_theta=float(np.min(state.theta)),
-        max_theta=float(np.max(state.theta)),
-        max_z=float(np.max(state.z)),
-        z_L1=float(np.sum(np.abs(state.z)) * dx),
-        dev_L2=dev["L2"],
-        dev_L4=dev["L4"],
-        dev_Linf=dev["Linf"],
-        grad_L2=dev["grad_L2"],
+        Y=max(Y, Y_now),
+        min_v=float(np.min(v)),
+        max_v=float(np.max(v)),
+        min_theta=float(np.min(theta)),
+        max_theta=float(np.max(theta)),
+        max_z=float(np.max(z)),
+        z_L1=float(np.sum(np.abs(z)) * dx),
+        dev_L2=float(np.sqrt(p2)),
+        dev_L4=float(p4**0.25),
+        dev_Linf=max(float(np.max(np.abs(f))) for f in devs),
+        grad_L2=float(np.sqrt(grads2)),
         boundary_dev=boundary_deviation(state, grid),
     )
 
@@ -280,11 +295,11 @@ class WindowHistory:
     def append(self, s: State) -> None:
         idx, dx, params = self.idx, self.grid.dx, self.params
         if self._u0_c is None:
-            self._u0_c = _u_on_cells(s.u)
+            self._u0_c = _midpoints(s.u)
         self.t.append(s.t)
         self.v.append(s.v[idx])
         self.theta.append(s.theta[idx])
-        w = (self._u0_c - _u_on_cells(s.u)) * self._cut
+        w = (self._u0_c - _midpoints(s.u)) * self._cut
         self.B.append(self.v[0] * np.exp(_suffix_trapezoid(w, dx)[idx] / params.mu))
         u_x = np.diff(s.u) / dx
         total_stress = params.mu * u_x / s.v - pressure(params, s.v, s.theta)

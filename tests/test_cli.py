@@ -302,6 +302,7 @@ def _refused_at_load(tmp_path, edits, reason):
     assert out.returncode == EXIT_CONFIG
     assert out.stderr.startswith("config error:") and out.stderr.count("\n") == 1
     assert reason in out.stderr and "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -315,6 +316,11 @@ def test_tiny_sample_cadence_is_refused_at_load(tmp_path):
     """sample_cadence = 1e-9 caps every dt at the cadence: about 2e10 steps to T_end = 20."""
     _refused_at_load(tmp_path, (("sample_cadence = 0.05", "sample_cadence = 1e-9"),),
                      "sample_cadence")
+
+
+def test_underflowing_width_is_refused_at_load(tmp_path):
+    """width = 1e-200 squares to 0, so the profile would divide by zero and warn."""
+    _refused_at_load(tmp_path, (("width = 1.0", "width = 1e-200"),), "width")
 
 
 def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):

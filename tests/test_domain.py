@@ -16,6 +16,7 @@ from radgas.domain import (
     validate_parameters,
 )
 from radgas.errors import ConfigError
+from radgas.functionals import make_record
 from radgas.integrator import DT_MIN, MAX_SUBCYCLES
 
 
@@ -105,10 +106,11 @@ def test_validate_parameters_reports_regions():
 def test_validate_initial_data_equilibrium():
     s = spec(**REST)
     grid = build_grid(s.L, s.N)
-    report = validate_initial_data(make_initial_data(s, grid), grid)
+    state = make_initial_data(s, grid)
+    report = validate_initial_data(state, grid)
     assert report.passed
     assert report.far_field_deviation == 0.0
-    assert report.norms["dev_L2"] == 0.0
+    assert make_record(state, grid, s.params).dev_L2 == 0.0
 
 
 def test_validate_initial_data_gaussian_species_mass():
@@ -116,20 +118,24 @@ def test_validate_initial_data_gaussian_species_mass():
     s = spec(amplitude_v=0.0, amplitude_u=0.0, amplitude_theta=0.0,
              amplitude_z=0.5, width=1.0, L=20.0, N=512)
     grid = build_grid(s.L, s.N)
-    report = validate_initial_data(make_initial_data(s, grid), grid)
+    state = make_initial_data(s, grid)
+    report = validate_initial_data(state, grid)
     assert report.passed
     exact = 0.5 * s.width * math.sqrt(math.pi)
-    assert report.norms["z_L1"] == pytest.approx(exact, rel=0.01)
+    assert make_record(state, grid, s.params).z_L1 == pytest.approx(exact, rel=0.01)
 
 
 def test_validate_initial_data_flags_negative_volume():
-    """A negative volume, and a NaN in v, theta or z, fails that field's own test."""
+    """A negative volume, a NaN in any field and a field whose squares overflow
+    each fail that field's own test."""
     s = spec(**REST)
     grid = build_grid(s.L, s.N)
     for field, value, failure in (("v", -0.1, "v0 not strictly positive"),
                                   ("v", np.nan, "v0 not strictly positive"),
                                   ("theta", np.nan, "theta0 not strictly positive"),
-                                  ("z", np.nan, "z0 leaves [0, 1]")):
+                                  ("z", np.nan, "z0 leaves [0, 1]"),
+                                  ("u", np.nan, "u0 not finite"),
+                                  ("u", 1e200, "u0 sum of squares overflows")):
         state = make_initial_data(s, grid)
         getattr(state, field)[3] = value
         report = validate_initial_data(state, grid)
@@ -168,6 +174,9 @@ def test_scenario_spec_validation():
         spec(T_end=0.0)
     with pytest.raises(ConfigError):
         spec(width=-1.0)
+    # a width whose square underflows is refused before any profile is evaluated
+    with pytest.raises(ConfigError, match="width"):
+        spec(width=1e-200)
     for name, value in (("T_end", math.nan), ("T_end", math.inf),
                         ("picard_tol", math.nan), ("floor_v", math.nan)):
         with pytest.raises(ConfigError):

@@ -8,11 +8,10 @@ import pytest
 
 from radgas.cli import _NearestSamples
 from radgas.constitutive import GasParameters, pressure
-from radgas.domain import ScenarioSpec, State, _u_on_cells, build_grid, norms
+from radgas.domain import ScenarioSpec, State, _midpoints, build_grid
 from radgas.errors import ConfigError, InsufficientHistory, WindowOutOfDomain
 from radgas.functionals import (
     WindowHistory,
-    _Y_now,
     _cutoff,
     _strip_weights,
     _suffix_trapezoid,
@@ -57,10 +56,10 @@ def accumulate_XY(states, params, grid):
     squared temperature gradient, including the initial sample.
     """
     X = 0.0
-    Y = _Y_now(states[0], grid, params)
+    Y = make_record(states[0], grid, params).Y
     for prev, cur in zip(states[:-1], states[1:]):
         X += accumulate_XY_increment(prev, cur, params, grid)
-        Y = max(Y, _Y_now(cur, grid, params))
+        Y = max(Y, make_record(cur, grid, params).Y)
     return X, Y
 
 
@@ -152,17 +151,17 @@ def test_entropy_energy_matches_direct_resum():
 
 def test_norms_equilibrium_all_zero():
     grid = build_grid(10.0, 64)
-    result = norms(equilibrium_state(grid), grid)
-    assert all(v == 0.0 for v in result.values())
+    r = _record(equilibrium_state(grid), grid)
+    assert all(v == 0.0 for v in (r.dev_L2, r.dev_L4, r.dev_Linf, r.grad_L2))
 
 
 def test_norms_single_hot_cell():
     grid = build_grid(10.0, 64)
     state = equilibrium_state(grid)
     state.theta[20] = 1.5
-    result = norms(state, grid)
-    assert result["Linf"] == pytest.approx(0.5)
-    assert result["L2"] == pytest.approx(0.5 * math.sqrt(grid.dx), rel=1e-12)
+    r = _record(state, grid)
+    assert r.dev_Linf == pytest.approx(0.5)
+    assert r.dev_L2 == pytest.approx(0.5 * math.sqrt(grid.dx), rel=1e-12)
 
 
 def test_norms_gaussian_matches_analytic_value():
@@ -171,7 +170,7 @@ def test_norms_gaussian_matches_analytic_value():
     alpha, width = 0.2, 1.0
     state.theta = 1.0 + alpha * np.exp(-(grid.cell_centers / width) ** 2)
     expected = math.sqrt(alpha**2 * width * math.sqrt(math.pi / 2.0))
-    assert norms(state, grid)["L2"] == pytest.approx(expected, rel=0.01)
+    assert _record(state, grid).dev_L2 == pytest.approx(expected, rel=0.01)
 
 
 def test_interval_probe_equilibrium():
@@ -319,14 +318,14 @@ def _representation_from_states(states, grid, params, k, t):
     dx = grid.dx
     cut = _cutoff(grid.cell_centers, k)
     strip_w = _strip_weights(grid, k + 1.0, k + 2.0)
-    u0_c = _u_on_cells(states[0].u)
+    u0_c = _midpoints(states[0].u)
     v0 = states[0].v
     n_hist = m_t + 1
     B = np.empty((n_hist, idx.size))
     stress_integral = np.empty(n_hist)
     for m in range(n_hist):
         s = states[m]
-        w = (u0_c - _u_on_cells(s.u)) * cut
+        w = (u0_c - _midpoints(s.u)) * cut
         B[m] = v0[idx] * np.exp(_suffix_trapezoid(w, dx)[idx] / params.mu)
         total_stress = params.mu * (np.diff(s.u) / dx) / s.v - pressure(params, s.v, s.theta)
         stress_integral[m] = float(np.sum(total_stress * strip_w))

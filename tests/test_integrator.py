@@ -345,6 +345,40 @@ def test_nan_result_rejects_the_step(field, monkeypatch):
             _check_state_bounds(state)
 
 
+def test_temperature_below_the_floor_rejects_the_step(monkeypatch):
+    """Heat solves that keep one temperature positive but below floor_theta make
+    heat_step raise PositivityError, and strang_step reject the attempt and halve dt."""
+    grid = build_grid(10.0, 64)
+    state = gaussian_state(grid)
+    real = integrator.tridiagonal_solve
+    active = [True]
+
+    def below_floor(off, diag, rhs, *, factors=None):
+        x = real(off, diag, rhs, factors=factors)
+        # the heat solves are the unfactored ones with N rows
+        if active[0] and factors is None and x.shape == (grid.N,):
+            x[10] = 0.5 * SPEC.floor_theta
+        return x
+
+    monkeypatch.setattr(integrator, "tridiagonal_solve", below_floor)
+    with pytest.raises(PositivityError, match="floor"):
+        heat_step(state, grid, SPEC, 0.01)
+
+    real_heat = integrator.heat_step
+
+    def first_heat_step_only(*args, **kwargs):
+        try:
+            return real_heat(*args, **kwargs)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(integrator, "heat_step", first_heat_step_only)
+    out = strang_step(state, grid, SPEC, 0.01)
+    assert not active[0]
+    assert out.rejected_count == 1
+    assert out.dt_used == 0.005
+
+
 @pytest.mark.parametrize("field, value", [("v", 0.0), ("v", -1.0), ("theta", 0.0),
                                           ("theta", -1.0)])
 def test_steps_reject_states_outside_the_quadrant(field, value):

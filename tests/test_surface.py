@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,26 @@ def test_every_perfbench_target_resolves():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in targets if not callable(getattr(owner, attr, None))]
     assert not missing, f"perfbench traces names that do not resolve: {missing}"
+
+
+def _perfbench_setup_code():
+    """perfbench's set-up program, read from its source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_CODE")
+
+
+@pytest.mark.parametrize("command, config", [("run", "canonical.cfg"), ("sweep", "sweep.cfg"),
+                                             ("verify", "verify.cfg")])
+def test_perfbench_setup_runs_on_the_shipped_configs(command, config):
+    """perfbench times its set-up program on every workload; a renamed loader or
+    validator fails here, not as a failed ``setup_s`` sample of every run."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(radgas.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _perfbench_setup_code(), command,
+                          str(root / "configs" / config)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
