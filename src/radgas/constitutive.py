@@ -77,39 +77,70 @@ def _check_quadrant(v, theta):
 
 # Unguarded kernels: one body per law.  The public functions below check the
 # quadrant and call them; the integrator checks once per substep and calls
-# them directly.  Powers of theta that several laws share are passed in
-# (theta_cu = theta**3, theta0_sq = theta0**2) so a caller computes each once.
+# them directly.  A power of theta that several laws share is passed in
+# (theta_cu = theta**3) so a caller computes it once.
+#
+# The heat substep holds v fixed and iterates on theta.  A law it evaluates
+# in every Picard sweep is therefore written as a part fixed by v (and the
+# other frozen fields) and a part of the iterate alone: the helper next to
+# the law gives the fixed part once per substep, and the law itself is built
+# from the same split, so each law keeps one body.
 
 
 def _pressure(params, v, theta):
     return params.R * theta / v + params.a * theta**4 / 3.0
 
 
+def _arrhenius(params, theta):
+    # The theta factor of the reaction rate: rate = K_react * _arrhenius
+    return theta**params.beta * np.exp(-params.A / theta)
+
+
 def _reaction_rate(params, theta):
-    return params.K_react * theta**params.beta * np.exp(-params.A / theta)
+    return params.K_react * _arrhenius(params, theta)
+
+
+def _conductivity_rise(params, theta):
+    # The part of conductivity / v that moves with theta:
+    # conductivity(v, theta) = kappa1 + v * _conductivity_rise(theta)
+    return params.kappa2 * theta**params.b
 
 
 def _conductivity(params, v, theta):
-    return params.kappa1 + params.kappa2 * v * theta**params.b
+    return params.kappa1 + v * _conductivity_rise(params, theta)
 
 
 def _p_v(params, v, theta):
     return -params.R * theta / v**2
 
 
+def _p_theta_factors(params, v, scale):
+    # (c0, c3) with scale * p_theta(v, theta) = c0 + c3 * theta**3, for any
+    # scale (an array too) that is fixed with v
+    return params.R * scale / v, 4.0 * params.a / 3.0 * scale
+
+
 def _p_theta(params, v, theta_cu):
-    return params.R / v + 4.0 * params.a * theta_cu / 3.0
+    c0, c3 = _p_theta_factors(params, v, 1.0)
+    return c0 + c3 * theta_cu
 
 
 def _e_theta(params, v, theta_cu):
     return params.Cv + 4.0 * params.a * v * theta_cu
 
 
-def _energy_theta_chord(params, v, theta0, theta1, theta0_sq, theta0_cu, theta1_cu):
+def _energy_chord_factors(params, v, theta0_cu):
+    # (a v, Cv + a v theta0^3): the parts of the energy chord fixed by v and theta0
+    av = params.a * v
+    return av, params.Cv + av * theta0_cu
+
+
+def _energy_theta_chord(av, e0, theta0, theta1, theta1_cu):
     # Exact secant slope (e(v,theta1) - e(v,theta0))/(theta1 - theta0), equal to
-    # e_theta when the two coincide; strictly positive, so the heat solve is well posed
-    cubic = theta1_cu + theta1**2 * theta0 + theta1 * theta0_sq + theta0_cu
-    return params.Cv + params.a * v * cubic
+    # e_theta when the two coincide; strictly positive, so the heat solve is well
+    # posed.  With (av, e0) from _energy_chord_factors it is
+    # Cv + a v (theta1^3 + theta1^2 theta0 + theta1 theta0^2 + theta0^3).
+    return e0 + av * (theta1_cu + theta1 * theta0 * (theta1 + theta0))
 
 
 def pressure(params: GasParameters, v, theta):

@@ -90,8 +90,12 @@ class ScenarioSpec:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.width <= 0:
             raise ConfigError("width must be > 0")
-        if self.width**2 == 0.0:
-            raise ConfigError(f"width = {self.width!r} is too small: its square underflows to 0")
+        # the profile divides x**2 by width**2 out to |x| = L; a float product
+        # overflows to inf without an exception or a warning
+        ratio = self.L / self.width
+        if not math.isfinite(ratio * ratio):
+            raise ConfigError(f"width = {self.width!r} is too small for L = {self.L!r}: "
+                              "(L / width)**2 is not finite")
         if self.T_end <= 0:
             raise ConfigError("T_end must be > 0")
         if not (0.0 < self.cfl <= 1.0):
@@ -257,14 +261,16 @@ def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
     if far >= INITIAL_FAR_FIELD_TOL:
         failures.append(f"far-field deviation {far:.3e} exceeds {INITIAL_FAR_FIELD_TOL:.0e}")
 
-    # np.vdot raises no warning when the squares overflow, which would make
-    # every norm of the run infinite
+    # np.vdot raises no warning when the squares or fourth powers overflow,
+    # which would make the L2 or L4 norm of every sample infinite
     for name in ("v", "u", "theta", "z"):
         f = getattr(state, name)
         if not np.isfinite(f).all():
             failures.append(f"{name}0 not finite")
         elif not math.isfinite(np.vdot(f, f)):
             failures.append(f"{name}0 sum of squares overflows")
+        elif not math.isfinite(np.vdot(np.square(f), np.square(f))):
+            failures.append(f"{name}0 sum of fourth powers overflows")
 
     return InitialDataReport(
         far_field_deviation=far,

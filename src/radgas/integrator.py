@@ -12,6 +12,17 @@ coefficients, one tridiagonal solve per sweep.  The species substep is a
 trapezoidal solve subcycled just enough that the update matrix keeps the
 discrete maximum principle, so 0 <= z <= max(z) holds for arbitrary data.
 
+Both inner loops compute once per substep every field that depends only on
+what the substep freezes.  The heat substep builds, once per call, the parts
+of the conductance, work, reaction and energy-chord terms fixed by v, u_x,
+z and theta_old, and the fixed half of the right-hand side; each Picard
+sweep then evaluates only the iterate's powers, Arrhenius factor, chord and
+interior-face conductances before its one solve.  The species substep
+factors M = I/delta - L/2 once and, since I/delta + L/2 = (2/delta) I - M,
+each subcycle is z' = M^{-1}((2/delta) z + src) - z: one solve and one
+subtraction.  The subtraction keeps the maximum principle to a few ulps of
+z, far inside Z_BOUND_TOL (see ``_species_update``).
+
 Positivity failures and non-convergence reject the step and retry at dt/2;
 repeated rejection raises BlowUpError.  Once per call, on entry, each public
 substep, ``strang_step`` and ``select_timestep`` check their whole input
@@ -31,11 +42,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import (
+    _arrhenius,
     _check_quadrant,
-    _conductivity,
+    _conductivity_rise,
     _e_theta,
+    _energy_chord_factors,
     _energy_theta_chord,
     _p_theta,
+    _p_theta_factors,
     _p_v,
     _pressure,
     _reaction_rate,
@@ -363,15 +377,6 @@ def _face_coefficients(cell_values, dx):
     return a
 
 
-def _flux_divergence(values, a):
-    """a_{i+1}(f_{i+1}-f_i) - a_i(f_i-f_{i-1}) with zero-flux end faces."""
-    jumps = a[1:-1] * (values[1:] - values[:-1])
-    out = np.zeros_like(values)
-    out[:-1] += jumps
-    out[1:] -= jumps
-    return out
-
-
 # An iterate that overflows fails the loop's NaN-proof tests and rejects the
 # step, without a numpy warning on the way
 @np.errstate(over="ignore", invalid="ignore")
@@ -385,6 +390,14 @@ def heat_step(state, grid, spec, dt, sources=None):
     exact secant of internal energy in theta, which makes the per-step energy
     balance an identity rather than an approximation.  A NaN or inf in the
     state raises BlowUpError naming the field.
+
+    Once per call: kappa1 / v, the factors of the -theta p_theta u_x work
+    term, lam K z, the fixed parts (a v, Cv + a v theta_old^3) of the energy
+    chord, theta_old / h, and the whole fixed part of the right-hand side,
+    half of flux(theta_old) + src_old + S_theta(t + h).  Once per sweep: the
+    powers of the iterate, its Arrhenius factor, the chord, the interior-face
+    conductances, one solve and the two tests.  Both closed end faces carry
+    no flux, so only the N - 1 interior faces are formed.
     """
     params = spec.params
     t0 = state.t
@@ -395,35 +408,47 @@ def heat_step(state, grid, spec, dt, sources=None):
     _check_state(state)
     z = state.z
     u_x = (state.u[1:] - state.u[:-1]) / dx
-    viscous_heating = params.mu * u_x**2 / v
-    th_old_sq = th_old**2
+
+    # fixed over the substep; the trapezoid's 1/2 is folded into the factors,
+    # so g is half the face conductance and q half the iterate's source
+    kappa1_v = params.kappa1 / v
+    g_scale = 0.25 / (dx * dx)
+    work_v, work_cu = _p_theta_factors(params, v, -0.5 * u_x)
+    react = 0.5 * params.lam * params.K_react * z
     th_old_cu = th_old**3
+    av, e_old = _energy_chord_factors(params, v, th_old_cu)
+    th_old_h = th_old / h
 
-    def coefficients(th, th_cu):
-        """Face conductances and volumetric sources at the iterate th (th_cu = th**3)."""
-        a = _face_coefficients(_conductivity(params, v, th) / v, dx)
-        p_theta = _p_theta(params, v, th_cu)
-        vol = -th * p_theta * u_x + viscous_heating + params.lam * _reaction_rate(params, th) * z
-        return a, vol
+    def conductances(th):
+        """Half of each interior face's conductance at the iterate th, over dx^2."""
+        k = kappa1_v + _conductivity_rise(params, th)
+        return g_scale * (k[:-1] + k[1:])
 
-    a_old, vol_old = coefficients(th_old, th_old_cu)
-    half_flux_old = 0.5 * _flux_divergence(th_old, a_old)
-    src_old = vol_old + (sources.Stheta(t0) if sources else 0.0)
-    stheta_new = sources.Stheta(t0 + h) if sources else 0.0
+    def half_source(th, th_cu):
+        """Half the work and reaction heat at the iterate th (th_cu = th**3)."""
+        return th * (work_v + work_cu * th_cu) + react * _arrhenius(params, th)
+
+    g = conductances(th_old)
+    q = half_source(th_old, th_old_cu)
+    stheta = (sources.Stheta(t0) + sources.Stheta(t0 + h)) if sources else 0.0
+    # half of flux(th_old) + src_old + S_theta(t0 + h), and the viscous heating
+    # (frozen, so its two halves make one whole)
+    fixed = q + params.mu * u_x**2 / v + 0.5 * stheta
+    jumps = g * (th_old[1:] - th_old[:-1])
+    fixed[:-1] += jumps
+    fixed[1:] -= jumps
 
     # the first sweep starts from th_old, whose coefficients are already known
     th_star, th_star_cu = th_old, th_old_cu
-    a_new, vol_new = a_old, vol_old
     iters = 0
     for iters in range(1, spec.picard_max_iters + 1):
-        src_new = vol_new + stheta_new
-        e_chord = _energy_theta_chord(params, v, th_old, th_star, th_old_sq, th_old_cu, th_star_cu)
+        chord = _energy_theta_chord(av, e_old, th_old, th_star, th_star_cu)
+        diag = chord / h
+        diag[:-1] += g
+        diag[1:] += g
+        rhs = chord * th_old_h + fixed + q
 
-        diag = e_chord / h + 0.5 * (a_new[:-1] + a_new[1:])
-        off = -0.5 * a_new[1:-1]
-        rhs = e_chord * th_old / h + half_flux_old + 0.5 * (src_old + src_new)
-
-        th_next = tridiagonal_solve(off, diag, rhs)
+        th_next = tridiagonal_solve(-g, diag, rhs)
         if not th_next.min() > 0.0:
             raise ConvergenceError("temperature iterate left the positive cone")
         change = float(np.abs(th_next - th_star).max())
@@ -431,7 +456,8 @@ def heat_step(state, grid, spec, dt, sources=None):
         if change < spec.picard_tol:
             break
         th_star_cu = th_star**3
-        a_new, vol_new = coefficients(th_star, th_star_cu)
+        g = conductances(th_star)
+        q = half_source(th_star, th_star_cu)
     else:
         raise ConvergenceError(
             f"heat solve did not reach {spec.picard_tol:g} in {spec.picard_max_iters} sweeps"
@@ -459,20 +485,32 @@ def _species_rates(state, grid, params, dt):
 def _species_update(state, grid, params, dt, sources=None):
     """Trapezoidal reactant update subcycled to keep the maximum principle.
 
-    The subcycle length is chosen so the explicit half of each trapezoidal
-    solve has nonnegative coefficients; combined with the M-matrix implicit
-    half this guarantees 0 <= z' <= max(z) for arbitrary admissible data.
+    With L the diffusion-minus-reaction operator and M = I/delta - L/2 the
+    implicit matrix, each subcycle solves M z' = (I/delta + L/2) z + src.
+    Since I/delta + L/2 = (2/delta) I - M, that is
+
+        z' = M^{-1} ((2/delta) z + src) - z,
+
+    one solve per subcycle with M factored once per call, and no flux
+    evaluation.  The subcycle length is chosen so that I/delta + L/2 has
+    nonnegative entries; with M an M-matrix this gives 0 <= z' <= max(z) for
+    arbitrary admissible data.  Under round-off the subtraction can leave an
+    entry a few ulps of z below 0 where z' is nearly 0 (the cancellation is
+    worst at the subcycle bound, where a row of I/delta + L/2 has a zero
+    diagonal), far inside Z_BOUND_TOL.
+
     Returns (z_new, consumed) where consumed integrates the reaction sink
     with the exact quadrature the scheme uses, making
 
         sum(z_new)*dx + consumed = sum(z_old)*dx + injected sources
 
-    an identity up to solver round-off (end faces carry no flux).  An update
+    an identity up to solver round-off (end faces carry no flux).  Each
+    solve gives z + z' directly, so the sum of those over the subcycles is
+    kept and consumed is one dot product with phi after the loop.  An update
     that would need more than MAX_SUBCYCLES subcycles, or that makes a NaN or
     inf, raises ConvergenceError.
     """
     t0 = state.t
-    dx = grid.dx
     phi, a, rate_scale, needed = _species_rates(state, grid, params, dt)
     if not needed <= MAX_SUBCYCLES:
         raise ConvergenceError(
@@ -481,20 +519,18 @@ def _species_update(state, grid, params, dt, sources=None):
     delta = dt / n_sub
     diag = 1.0 / delta + 0.5 * rate_scale
     off = -0.5 * a[1:-1]
-    half_phi = 0.5 * phi
     # the matrix is the same in every subcycle, so it is factored once
     factors = _factor_symmetric(off, diag)
 
     z = state.z
-    consumed = 0.0
+    pair_sum = np.zeros_like(z)
     for k in range(n_sub):
         tau = t0 + k * delta
         src = 0.5 * (sources.Sz(tau) + sources.Sz(tau + delta)) if sources else 0.0
-        flux_z = _flux_divergence(z, a)
-        rhs = z / delta + 0.5 * flux_z - half_phi * z + src
-        z_new = tridiagonal_solve(off, diag, rhs, factors=factors)
-        consumed += delta * float((half_phi * (z + z_new)).sum()) * dx
-        z = z_new
+        pair = tridiagonal_solve(off, diag, (2.0 / delta) * z + src, factors=factors)
+        pair_sum += pair
+        z = pair - z
+    consumed = 0.5 * delta * float(np.vdot(phi, pair_sum)) * grid.dx
     # a NaN or inf anywhere in z, in any subcycle, makes the sum non-finite
     if not math.isfinite(consumed):
         raise ConvergenceError("species update produced a non-finite reactant fraction")

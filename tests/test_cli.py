@@ -323,6 +323,19 @@ def test_underflowing_width_is_refused_at_load(tmp_path):
     _refused_at_load(tmp_path, (("width = 1.0", "width = 1e-200"),), "width")
 
 
+def test_overflowing_width_ratio_is_refused_at_load(tmp_path):
+    """width = 1e-160 squares to a subnormal, so (L / width)**2 overflows in the profile."""
+    _refused_at_load(tmp_path, (("width = 1.0", "width = 1e-160"),), "width")
+
+
+def test_overflowing_fourth_powers_are_refused_at_load(tmp_path):
+    """u of order 1e100 has finite squares but fourth powers that overflow, which
+    would make dev_L4 infinite from the first sample."""
+    _refused_at_load(tmp_path, (("amplitude_u = 0.1", "amplitude_u = 1e100"),
+                                ("width = 1.0", "width = 0.5")),
+                     "u0 sum of fourth powers overflows")
+
+
 def test_singular_solve_exits_3(tmp_path, monkeypatch, capsys):
     """A singular tridiagonal system ends a run, one sweep cell, or verify as a blow-up."""
     def singular(*args, **kwargs):

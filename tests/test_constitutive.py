@@ -172,7 +172,8 @@ def test_every_law_refuses_nan_and_negative_infinity(law, bad):
 
 
 def test_kernels_equal_public_functions():
-    """The integrator's unguarded kernels give the public functions' bits."""
+    """The integrator's unguarded kernels give the public functions' bits, and the
+    splits of the heat loop give the laws back."""
     gp = params(R=0.7, Cv=1.4, a=0.8, kappa1=0.6, kappa2=1.3, b=1.8, K_react=2.0, A=1.5,
                 beta=9.8)
     rng = np.random.default_rng(23)
@@ -190,9 +191,27 @@ def test_kernels_equal_public_functions():
     for kernel, public in pairs:
         assert np.array_equal(kernel, public)
 
+    # The splits the heat loop holds one part of fixed give the laws back: bit for
+    # bit as each law is built from them, and within a few ulps as the loop
+    # regroups them (both parts have one sign, so nothing cancels)
+    scale = rng.uniform(-3.0, 3.0, 1000)
+    rise = constitutive._conductivity_rise(gp, t1)
+    c0, c3 = constitutive._p_theta_factors(gp, v, scale)
+    av, e0 = constitutive._energy_chord_factors(gp, v, cu)
+    assert np.array_equal(gp.K_react * constitutive._arrhenius(gp, t1), reaction_rate(gp, t1))
+    assert np.array_equal(gp.kappa1 + v * rise, conductivity(gp, v, t1))
+    rounded = (
+        (gp.kappa1 / v + rise, conductivity(gp, v, t1) / v),
+        (c0 + c3 * cu, scale * p_theta),
+        (constitutive._energy_theta_chord(av, e0, t1, t1, cu), e_theta),
+    )
+    for split, law in rounded:
+        assert np.all(np.abs(split - law) <= 4 * np.finfo(float).eps * np.abs(law))
+
 
 def energy_theta_chord(gp, v, t0, t1):
-    return constitutive._energy_theta_chord(gp, v, t0, t1, t0**2, t0**3, t1**3)
+    av, e0 = constitutive._energy_chord_factors(gp, v, t0**3)
+    return constitutive._energy_theta_chord(av, e0, t0, t1, t1**3)
 
 
 def test_energy_chord_matches_secant_and_slope():

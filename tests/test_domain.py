@@ -126,8 +126,8 @@ def test_validate_initial_data_gaussian_species_mass():
 
 
 def test_validate_initial_data_flags_negative_volume():
-    """A negative volume, a NaN in any field and a field whose squares overflow
-    each fail that field's own test."""
+    """A negative volume, a NaN in any field and a field whose squares or fourth
+    powers overflow each fail that field's own test."""
     s = spec(**REST)
     grid = build_grid(s.L, s.N)
     for field, value, failure in (("v", -0.1, "v0 not strictly positive"),
@@ -135,7 +135,8 @@ def test_validate_initial_data_flags_negative_volume():
                                   ("theta", np.nan, "theta0 not strictly positive"),
                                   ("z", np.nan, "z0 leaves [0, 1]"),
                                   ("u", np.nan, "u0 not finite"),
-                                  ("u", 1e200, "u0 sum of squares overflows")):
+                                  ("u", 1e200, "u0 sum of squares overflows"),
+                                  ("u", 1e100, "u0 sum of fourth powers overflows")):
         state = make_initial_data(s, grid)
         getattr(state, field)[3] = value
         report = validate_initial_data(state, grid)
@@ -174,9 +175,12 @@ def test_scenario_spec_validation():
         spec(T_end=0.0)
     with pytest.raises(ConfigError):
         spec(width=-1.0)
-    # a width whose square underflows is refused before any profile is evaluated
+    # a width whose square underflows is refused before any profile is evaluated,
+    # and so is one for which (L / width)**2 overflows
     with pytest.raises(ConfigError, match="width"):
         spec(width=1e-200)
+    with pytest.raises(ConfigError, match="width"):
+        spec(width=1e-160)
     for name, value in (("T_end", math.nan), ("T_end", math.inf),
                         ("picard_tol", math.nan), ("floor_v", math.nan)):
         with pytest.raises(ConfigError):

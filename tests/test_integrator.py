@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radgas.constitutive import GasParameters, internal_energy, reaction_rate
+from radgas.constitutive import (
+    GasParameters,
+    _conductivity,
+    _p_theta,
+    _reaction_rate,
+    internal_energy,
+    reaction_rate,
+)
 from radgas.domain import ScenarioSpec, State, build_grid, make_initial_data
 import radgas.integrator as integrator
 from radgas.errors import (
@@ -20,7 +27,11 @@ from radgas.functionals import make_record
 from radgas.integrator import (
     DT_MIN,
     MAX_STEP_REJECTIONS,
+    Z_BOUND_TOL,
     _check_state_bounds,
+    _face_coefficients,
+    _species_rates,
+    _species_update,
     heat_step,
     hydro_step,
     run_simulation,
@@ -464,3 +475,207 @@ def test_step_controls_validation(small_gaussian_spec):
         run_simulation(small_gaussian_spec, dt_max=0.1 * DT_MIN)
     with pytest.raises(ConfigError, match="floors"):
         ScenarioSpec(floor_v=0.0)
+
+
+# References: the heat substep's Picard sweep and the species subcycle as they
+# were written before the fields a substep holds fixed were computed once per
+# call.  Every sweep recomputes every coefficient from the iterate, and every
+# subcycle evaluates the diffusion flux and the five-term right-hand side.
+
+
+def _reference_flux_divergence(values, a):
+    jumps = a[1:-1] * (values[1:] - values[:-1])
+    out = np.zeros_like(values)
+    out[:-1] += jumps
+    out[1:] -= jumps
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_heat_step(state, grid, spec, dt, sources=None):
+    """(theta, picard_iters) of the heat substep, every sweep from scratch."""
+    params, t0, dx, h = spec.params, state.t, grid.dx, dt
+    v, th_old, z = state.v, state.theta, state.z
+    u_x = (state.u[1:] - state.u[:-1]) / dx
+    viscous_heating = params.mu * u_x**2 / v
+    th_old_sq, th_old_cu = th_old**2, th_old**3
+
+    def coefficients(th, th_cu):
+        a = _face_coefficients(_conductivity(params, v, th) / v, dx)
+        vol = (-th * _p_theta(params, v, th_cu) * u_x + viscous_heating
+               + params.lam * _reaction_rate(params, th) * z)
+        return a, vol
+
+    a_old, vol_old = coefficients(th_old, th_old_cu)
+    half_flux_old = 0.5 * _reference_flux_divergence(th_old, a_old)
+    src_old = vol_old + (sources.Stheta(t0) if sources else 0.0)
+    stheta_new = sources.Stheta(t0 + h) if sources else 0.0
+    th_star, th_star_cu = th_old, th_old_cu
+    a_new, vol_new = a_old, vol_old
+    for iters in range(1, spec.picard_max_iters + 1):
+        src_new = vol_new + stheta_new
+        cubic = th_star_cu + th_star**2 * th_old + th_star * th_old_sq + th_old_cu
+        e_chord = params.Cv + params.a * v * cubic
+        diag = e_chord / h + 0.5 * (a_new[:-1] + a_new[1:])
+        off = -0.5 * a_new[1:-1]
+        rhs = e_chord * th_old / h + half_flux_old + 0.5 * (src_old + src_new)
+        th_next = integrator.tridiagonal_solve(off, diag, rhs)
+        if not th_next.min() > 0.0:
+            raise ConvergenceError("temperature iterate left the positive cone")
+        change = float(np.abs(th_next - th_star).max())
+        th_star = th_next
+        if change < spec.picard_tol:
+            break
+        th_star_cu = th_star**3
+        a_new, vol_new = coefficients(th_star, th_star_cu)
+    else:
+        raise ConvergenceError("heat solve did not converge")
+    if not th_star.min() > spec.floor_theta:
+        raise PositivityError("temperature fell below floor")
+    return th_star, iters
+
+
+def reference_species_update(state, grid, params, dt, sources=None):
+    """(z_new, consumed, subcycles) of the species update, each subcycle from scratch."""
+    phi, a, rate_scale, needed = _species_rates(state, grid, params, dt)
+    n_sub = max(1, math.ceil(needed))
+    delta = dt / n_sub
+    diag = 1.0 / delta + 0.5 * rate_scale
+    off = -0.5 * a[1:-1]
+    half_phi = 0.5 * phi
+    factors = integrator._factor_symmetric(off, diag)
+    z, consumed = state.z, 0.0
+    for k in range(n_sub):
+        tau = state.t + k * delta
+        src = 0.5 * (sources.Sz(tau) + sources.Sz(tau + delta)) if sources else 0.0
+        rhs = z / delta + 0.5 * _reference_flux_divergence(z, a) - half_phi * z + src
+        z_new = integrator.tridiagonal_solve(off, diag, rhs, factors=factors)
+        consumed += delta * float((half_phi * (z + z_new)).sum()) * grid.dx
+        z = z_new
+    return z, consumed, n_sub
+
+
+class _CountingSolves:
+    """Counts the calls of integrator.tridiagonal_solve while it is entered."""
+
+    def __enter__(self):
+        self.calls, real = 0, integrator.tridiagonal_solve
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        self._real, integrator.tridiagonal_solve = real, counted
+        return self
+
+    def __exit__(self, *exc):
+        integrator.tridiagonal_solve = self._real
+
+
+def _outcome(run):
+    """run()'s result, or the type of the step error it raised."""
+    try:
+        return run()
+    except (ConvergenceError, PositivityError) as exc:
+        return type(exc)
+
+
+# The hoisted substeps regroup sums and products, so they agree with the
+# references to round-off, not bit for bit: theta within HEAT_RTOL of
+# max(theta), and z (which lies in [0, 1]) and consumed within SPECIES_ULPS
+# units of round-off per subcycle, since the subcycles add up their errors
+HEAT_RTOL = 1e-12
+SPECIES_ULPS = 16
+
+# The drawn comparisons need hypothesis (the test extra); without it only they
+# are absent, and the rest of this module runs
+try:
+    from hypothesis import given, seed, settings, strategies as st
+except ImportError:
+    st = None
+
+if st is not None:
+    @st.composite
+    def substep_cases(draw):
+        """(spec, grid, state, sources, dt, at_bound) on an admissible state.
+
+        Unforced: v, theta in [0.7, 1.5], z in [0, 1] and u in [-0.2, 0.2], drawn
+        cell by cell.
+        Forced: the state and sources of a manufactured solution at a drawn
+        time.  dt is a drawn multiple of the CFL step, or, with ``at_bound``,
+        the largest dt that one species subcycle covers, with z one spike on
+        the row of largest rate, whose new value then cancels to nearly 0.
+        """
+        from radgas.verification import ManufacturedSolution, ManufacturedSources
+
+        b = draw(st.floats(1.8, 4.0))
+        params = GasParameters(b=b, beta=draw(st.floats(0.0, b + 8.0)))
+        spec = ScenarioSpec(params=params, L=10.0, N=draw(st.sampled_from((32, 256))))
+        grid = build_grid(spec.L, spec.N)
+        forced = draw(st.booleans())
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if forced:
+            ms = ManufacturedSolution(amp_v=rng.uniform(-0.3, 0.3), amp_u=rng.uniform(-0.3, 0.3),
+                                      amp_theta=rng.uniform(-0.3, 0.3), amp_z=rng.uniform(0, 1),
+                                      width=rng.uniform(0.5, 2.0))
+            state = ms.state(grid, rng.uniform(0.0, 1.0))
+            sources = ManufacturedSources(ms, params, grid)
+        else:
+            n = grid.N
+            u = rng.uniform(-0.2, 0.2, n + 1)
+            u[0] = u[-1] = 0.0
+            state = State(rng.uniform(0.0, 1.0), rng.uniform(0.7, 1.5, n),
+                          rng.uniform(0.7, 1.5, n), rng.uniform(0.0, 1.0, n), u)
+            sources = None
+        at_bound = not forced and draw(st.booleans())
+        if at_bound:
+            rate_scale = _species_rates(state, grid, params, 1.0)[2]
+            spike = np.zeros(grid.N)
+            spike[int(np.argmax(rate_scale))] = rng.uniform(0.1, 1.0)
+            state.z = spike
+            dt = 2.0 / float(rate_scale.max())
+            while _species_rates(state, grid, params, dt)[3] > 1.0:
+                dt = math.nextafter(dt, 0.0)
+        else:
+            dt = draw(st.floats(0.1, 2.0)) * select_timestep(state, grid, spec)
+        return spec, grid, state, sources, dt, at_bound
+
+    @seed(31)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(substep_cases())
+    def test_heat_step_matches_the_reference_sweeps(case):
+        """Same Picard count, or the same step error, and theta to round-off."""
+        spec, grid, state, sources, dt, _ = case
+        ref = _outcome(lambda: reference_heat_step(state, grid, spec, dt, sources=sources))
+        new = _outcome(lambda: heat_step(state, grid, spec, dt, sources=sources))
+        if isinstance(ref, type):
+            assert new is ref
+            return
+        (theta_ref, iters_ref), (out, iters) = ref, new
+        assert iters == iters_ref
+        scale = float(np.abs(theta_ref).max())
+        assert float(np.abs(out.theta - theta_ref).max()) <= HEAT_RTOL * scale
+
+    @seed(31)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(substep_cases())
+    def test_species_update_matches_the_reference_subcycles(case):
+        """Same subcycle count, z and consumed to round-off, and, unforced,
+        0 <= z within Z_BOUND_TOL, at the subcycle bound too."""
+        spec, grid, state, sources, dt, at_bound = case
+        z_ref, consumed_ref, n_sub = reference_species_update(state, grid, spec.params, dt,
+                                                              sources=sources)
+        with _CountingSolves() as solves:
+            z, consumed = _species_update(state, grid, spec.params, dt, sources=sources)
+        assert solves.calls == n_sub
+        tol = SPECIES_ULPS * np.finfo(float).eps * n_sub
+        assert float(np.abs(z - z_ref).max()) <= tol
+        assert abs(consumed - consumed_ref) <= tol * max(1.0, abs(consumed_ref))
+        if sources is None:
+            assert z.min() >= -Z_BOUND_TOL
+            assert z.max() <= state.z.max() + Z_BOUND_TOL
+        if at_bound:
+            # one subcycle whose explicit half has a zero diagonal at the spike
+            rate_scale = _species_rates(state, grid, spec.params, dt)[2]
+            assert n_sub == 1
+            assert 0.5 * dt * float(rate_scale.max()) == pytest.approx(1.0, rel=1e-15)
