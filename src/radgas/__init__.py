@@ -33,9 +33,7 @@ from .functionals import (
     ProbeWindow,
     RepresentationProbe,
     WindowHistory,
-    dissipation_rate,
     interval_probe,
-    oscillation_ratio,
     representation_check,
     temperature_envelope_check,
     theta_bound_from_Y,

@@ -71,9 +71,20 @@ class RunConfig:
             except WindowOutOfDomain as exc:
                 raise ConfigError(f"probe {k}: {exc}") from exc
         if self.emit_snapshots:
+            owners = {}
             for t in self.snapshot_times:
                 if not t >= 0:
                     raise ConfigError(f"snapshot time {t:g} must be >= 0")
+                name = self.snapshot_name(t)
+                if name in owners:
+                    raise ConfigError(f"snapshot times {owners[name]!r} and {t!r} "
+                                      f"would both write {name}")
+                owners[name] = t
+
+    @staticmethod
+    def snapshot_name(t):
+        """The file the snapshot nearest time t is written to, relative to the run's directory."""
+        return f"snapshot_t{t:g}.dat"
 
 
 def _parse_bool(text):
@@ -361,7 +372,7 @@ def run_command(config_path, output_dir=None) -> int:
         raise
     _write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), result.records)
     for t_req, state in zip(snapshots.times, snapshots.states):
-        name = f"snapshot_t{t_req:g}.dat"
+        name = config.snapshot_name(t_req)
         if t_req > spec.T_end:
             print(f"warning: snapshot time {t_req:g} is past T_end = "
                   f"{spec.T_end:g}; {name} holds the final state",

@@ -246,8 +246,11 @@ class InitialDataReport:
 
 def validate_initial_data(state: State, grid: Grid) -> InitialDataReport:
     """Report-only validation; callers treat a failed report as fatal."""
-    if state.v.shape != (grid.N,) or state.u.shape != (grid.N + 1,):
-        raise ConfigError("state shape does not match grid")
+    for name in ("v", "u", "theta", "z"):
+        shape = getattr(state, name).shape
+        needed = (grid.N + 1,) if name == "u" else (grid.N,)
+        if shape != needed:
+            raise ConfigError(f"{name}0 has shape {shape}, the grid needs {needed}")
     failures = []
     # written so that a NaN fails each test
     if not np.min(state.v) > 0:

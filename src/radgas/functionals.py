@@ -1,11 +1,15 @@
-"""Analytic functionals and probes evaluated on discrete states and histories.
+"""The diagnostics of a run, evaluated on discrete states and sampled histories.
 
+``make_record`` builds every column of a sample in one pass, from
+intermediates it computes once: the deviations from the rest state, the
+squared differences of each field, and theta and v on the faces.  The
+probe-window averages, the volume representation, the temperature lower
+envelope and the ceiling implied by Y read what a run keeps of its samples.
 Spatial integrals use the midpoint rule on cells; gradient quantities live
 on interior faces; time integrals over sampled histories use the trapezoid
-rule.  All functions here are read-only.  ``make_record`` builds every
-diagnostic column of a sample in one pass, from intermediates it computes
-once: the deviations from the rest state, the squared differences of each
-field, and theta and v on the faces.
+rule.  All functions here are read-only.  The oscillation ratio that stands
+in for the paper's temperature upper bound is a test reference, in
+``tests/conftest.py``, since no command reports it.
 """
 
 import copy
@@ -29,10 +33,8 @@ __all__ = [
     "ProbeWindow",
     "RepresentationProbe",
     "WindowHistory",
-    "dissipation_rate",
     "accumulate_XY_increment",
     "interval_probe",
-    "oscillation_ratio",
     "representation_check",
     "temperature_envelope_check",
     "theta_bound_from_Y",
@@ -122,21 +124,6 @@ def _squared_gradient(f: np.ndarray, dx: float) -> np.ndarray:
     return (np.diff(f) / dx) ** 2
 
 
-def _dissipation(params, v, theta, v_f, th_f, u_x2, th_x2, dx) -> float:
-    """V from the cell fields, their face averages and the squared gradients of u and theta."""
-    viscous = params.mu * u_x2 / (v * theta)
-    conductive = conductivity(params, v_f, th_f) * th_x2 / (v_f * th_f**2)
-    return float((np.sum(viscous) + np.sum(conductive)) * dx)
-
-
-def dissipation_rate(state: State, grid: Grid, params: GasParameters) -> float:
-    """Viscous plus conductive entropy production; zero only for flat states."""
-    dx = grid.dx
-    return _dissipation(params, state.v, state.theta, _midpoints(state.v),
-                        _midpoints(state.theta), _squared_gradient(state.u, dx),
-                        _squared_gradient(state.theta, dx), dx)
-
-
 def accumulate_XY_increment(prev: State, cur: State, params: GasParameters, grid: Grid) -> float:
     """Contribution to the time-integrated temperature-rate functional between two samples."""
     dt = cur.t - prev.t
@@ -153,10 +140,12 @@ def make_record(state: State, grid: Grid, params: GasParameters, prev=None, prev
     Mass, momentum and kinetic energy weight nodes with half-cell lumped
     masses.  total_energy is measured relative to the rest state and includes
     the chemical reservoir lam*z; G is the entropy functional plus the kinetic
-    energy, zero only at equilibrium.  X and Y carry on from ``prev``, the
-    record of the previous sample ``prev_state``: X adds the increment between
-    the two states and Y is the running maximum of the weighted squared
-    temperature gradient.  The first sample passes neither, and its X is 0.
+    energy, zero only at equilibrium.  V is the viscous plus conductive
+    entropy production, zero only for flat states.  X and Y carry on from
+    ``prev``, the record of the previous sample ``prev_state``: X adds the
+    increment between the two states and Y is the running maximum of the
+    weighted squared temperature gradient.  The first sample passes neither,
+    and its X is 0.
     """
     dx = grid.dx
     v, theta, z, u = state.v, state.theta, state.z, state.u
@@ -183,13 +172,15 @@ def make_record(state: State, grid: Grid, params: GasParameters, prev=None, prev
     p4 = sum(np.sum(np.square(f2)) for f2 in squares) * dx
     grads2 = (np.sum(v_x2) + np.sum(th_x2) + np.sum(z_x2)) * dx
     grads2 += np.sum(u_x2) * dx
+    viscous = params.mu * u_x2 / (v * theta)
+    conductive = conductivity(params, v_f, th_f) * th_x2 / (v_f * th_f**2)
     return DiagnosticsRecord(
         t=state.t,
         mass_dev=float(np.sum(devs[0]) * dx),
         momentum=float(np.sum(masses * u)),
         total_energy=float(internal + kinetic + chemical),
         G=float(np.sum(eta) * dx + kinetic),
-        V=_dissipation(params, v, theta, v_f, th_f, u_x2, th_x2, dx),
+        V=float((np.sum(viscous) + np.sum(conductive)) * dx),
         X=X,
         Y=max(Y, Y_now),
         min_v=float(np.min(v)),
@@ -234,23 +225,6 @@ def interval_probe(state: State, grid: Grid, k: int) -> ProbeWindow:
         avg_v=avg_v,
         avg_theta=avg_th,
     )
-
-
-def oscillation_ratio(state: State, grid: Grid, params: GasParameters, m: float, k: int) -> float:
-    """Sup over the window of |theta^m - theta^m(b_k)| divided by sqrt(V).
-
-    The exponent must satisfy 0 <= m <= (b+4)/2.  Returns 0 when both the
-    oscillation and the dissipation vanish.
-    """
-    if not (0.0 <= m <= 0.5 * (params.b + 4.0)):
-        raise ConfigError(f"oscillation exponent m = {m} outside [0, (b+4)/2]")
-    idx = _window_cells(grid, k)
-    probe = interval_probe(state, grid, k)
-    ib = int(np.argmin(np.abs(grid.cell_centers - probe.b_k)))
-    th_m = state.theta[idx] ** m
-    osc = float(np.max(np.abs(th_m - state.theta[ib] ** m)))
-    V = dissipation_rate(state, grid, params)
-    return osc / max(math.sqrt(V), 1e-30)
 
 
 def _cutoff(y: np.ndarray, k: int) -> np.ndarray:

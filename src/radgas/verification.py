@@ -170,20 +170,6 @@ def _cell_residuals(params: GasParameters, f: _Profile, tau, tau_z):
     return S_v, S_e, S_z, e_v
 
 
-def _residuals(ms: ManufacturedSolution, params: GasParameters, t, x):
-    """Residuals (S_v, S_u, S_e, S_z) of the governing equations at (t, x), and the e_v they used.
-
-    Adding the residuals to the respective right-hand sides makes the
-    manufactured fields an exact solution.  S_e is the residual of the energy
-    equation; the split integrator's temperature substep consumes the
-    temperature-form residual S_e - e_v*S_v, see ManufacturedSources.
-    """
-    f = _Profile(ms, x)
-    tau = math.exp(-ms.rate * t)
-    S_v, S_e, S_z, e_v = _cell_residuals(params, f, tau, math.exp(-ms.rate_z * t))
-    return S_v, _momentum_residual(params, f, tau), S_e, S_z, e_v
-
-
 # Times whose cell residuals a ManufacturedSources keeps.  A repeat comes a
 # few times after the first: each species subcycle asks again for the time
 # the one before it ended at, and each heat substep for the two ends of a

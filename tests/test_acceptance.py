@@ -12,11 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import CONFIGS
+from conftest import CONFIGS, oscillation_ratio
 
 from radgas import verify_suite as vs
 from radgas.cli import EXIT_OK, EXIT_VERIFY, main
-from radgas.functionals import oscillation_ratio
 from radgas.verification import oracle_compare
 
 # frozen fine-grid regression values: canonical scenario, N=256 vs N=1024,

@@ -436,7 +436,7 @@ def test_malformed_value_exits_2(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("t_snap", ["-5", "nan"])
+@pytest.mark.parametrize("t_snap", ["-5", "nan", "0.0"])
 def test_invalid_snapshot_time_exits_2(tmp_path, capsys, t_snap):
     text = SMALL_SCENARIO.format(out=tmp_path / "s").replace(
         "snapshot_times = 0, 0.5", f"snapshot_times = 0, {t_snap}")

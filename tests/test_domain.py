@@ -144,6 +144,19 @@ def test_validate_initial_data_flags_negative_volume():
         assert failure in report.failures, (field, value, report.failures)
 
 
+@pytest.mark.parametrize("cells", [dict(v=63), dict(u=64), dict(theta=61, z=10), dict(z=10)],
+                         ids=["v", "u", "theta-and-z", "z"])
+def test_validate_initial_data_refuses_a_mis_shaped_field(cells):
+    """The first field whose length does not fit the grid is named."""
+    s = spec(**REST, N=64)
+    grid = build_grid(s.L, s.N)
+    state = make_initial_data(s, grid)
+    for name, n in cells.items():
+        setattr(state, name, getattr(state, name)[:n])
+    with pytest.raises(ConfigError, match=f"^{next(iter(cells))}0 has shape"):
+        validate_initial_data(state, grid)
+
+
 def test_validate_initial_data_flags_far_field_violation():
     s = spec(**REST, L=5.0)
     grid = build_grid(s.L, s.N)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import dissipation_rate, oscillation_ratio
 
 from radgas.cli import _NearestSamples
 from radgas.constitutive import GasParameters, pressure
@@ -17,10 +18,8 @@ from radgas.functionals import (
     _suffix_trapezoid,
     _window_cells,
     accumulate_XY_increment,
-    dissipation_rate,
     interval_probe,
     make_record,
-    oscillation_ratio,
     representation_check,
     temperature_envelope_check,
     theta_bound_from_Y,
@@ -105,9 +104,9 @@ def test_conserved_quantities_momentum_parity():
 
 def test_dissipation_zero_for_flat_states():
     grid = build_grid(10.0, 64)
-    assert dissipation_rate(equilibrium_state(grid), grid, PARAMS) == 0.0
+    assert _record(equilibrium_state(grid), grid).V == 0.0
     state = State(0.0, np.full(64, 1.7), np.full(64, 2.2), np.zeros(64), np.zeros(65))
-    assert dissipation_rate(state, grid, PARAMS) == 0.0
+    assert _record(state, grid).V == 0.0
 
 
 def test_dissipation_single_mode_matches_quadrature():
@@ -118,7 +117,21 @@ def test_dissipation_single_mode_matches_quadrature():
     state.u = np.sin(math.pi * grid.node_positions / L)
     state.u[0] = state.u[-1] = 0.0
     expected = PARAMS.mu * math.pi**2 / L
-    assert dissipation_rate(state, grid, PARAMS) == pytest.approx(expected, rel=1e-3)
+    assert _record(state, grid).V == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+@pytest.mark.parametrize("params", [PARAMS, GasParameters(mu=0.7, kappa1=2.5, kappa2=0.3, b=1.8,
+                                                         beta=9.0)])
+def test_record_dissipation_matches_the_reference(N, params):
+    """The V column is the reference dissipation rate bit for bit."""
+    grid = build_grid(10.0, N)
+    rng = np.random.default_rng(N)
+    u = rng.uniform(-0.5, 0.5, N + 1)
+    u[0] = u[-1] = 0.0
+    state = State(0.0, rng.uniform(0.5, 2.0, N), rng.uniform(0.5, 2.0, N),
+                  rng.uniform(0.0, 1.0, N), u)
+    assert make_record(state, grid, params).V == dissipation_rate(state, grid, params)
 
 
 def test_entropy_energy_equilibrium_zero():

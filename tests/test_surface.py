@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,52 @@ def test_package_imports_resolve_and_are_public():
             where = f"radgas.{node.module}.{alias.name}"
             assert getattr(radgas, alias.asname or alias.name) is getattr(module, alias.name), where
             assert alias.name in getattr(module, "__all__", [alias.name]), where
+
+
+# Names that nothing in src/radgas or perfbench reads, each kept for the reason given.
+UNREAD_BY_DESIGN = {
+    "constitutive.reaction_rate": "the guarded public form of the model's reaction law: radgas "
+                                  "exports it, and perfbench's tracer wraps every public "
+                                  "constitutive function",
+}
+
+
+def test_every_src_name_has_a_reader():
+    """Each __all__ name and module-level def or class of a radgas module is read
+    somewhere in src/radgas outside its own definition, or named as a word in
+    perfbench/*.py, so src/radgas holds only what the commands run; a helper only
+    tests read lives in the tests.  A read is a loaded name or attribute, or an
+    import, matched by name; the package __init__, which only re-exports, neither
+    defines nor reads."""
+    root = Path(__file__).resolve().parents[1]
+    perfbench = "\n".join(p.read_text() for p in sorted((root / "perfbench").glob("*.py")))
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(radgas.__file__).parent.glob("*.py"))
+             if path.stem != "__init__"}
+    reads = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((module, node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                reads.extend((module, alias.name, node.lineno) for alias in node.names)
+    unread = set()
+    for module, tree in trees.items():
+        spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        public = getattr(importlib.import_module(f"radgas.{module}"), "__all__", ())
+        for name in spans.keys() | set(public):
+            lo, hi = spans.get(name, (0, -1))
+            read = any(n == name and not (m == module and lo <= line <= hi)
+                       for m, n, line in reads)
+            if not read and not re.search(rf"\b{re.escape(name)}\b", perfbench):
+                unread.add(f"{module}.{name}")
+    exempt = set(UNREAD_BY_DESIGN)
+    assert unread == exempt, (f"read by nothing in src/radgas or perfbench: "
+                              f"{sorted(unread - exempt)}; exceptions now read: "
+                              f"{sorted(exempt - unread)}")
 
 
 def test_every_perfbench_target_resolves():
